@@ -23,7 +23,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
 import numpy as np
-from scipy.stats import binom
 
 
 def card_sleep_probability_paper(l: int, k: int, m: int, p: float) -> float:
@@ -54,6 +53,10 @@ def card_sleep_probability_exact(l: int, k: int, m: int, p: float) -> float:
 
         P = [ P(Binomial(k, 1-p) >= l) ]^m
     """
+    # Imported here: scipy.stats costs most of a second to import, and
+    # nothing on the simulation path needs it.
+    from scipy.stats import binom
+
     _validate_lkmp(l, k, m, p)
     q = 1.0 - p
     at_least_l_inactive = float(binom.sf(l - 1, k, q))

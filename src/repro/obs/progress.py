@@ -45,6 +45,9 @@ class ProgressSink:
     def task_done(self, task, attempt: int, wall_s: float) -> None:
         """One grid cell completed and persisted."""
 
+    def task_replicated(self, task, representative_digest: str) -> None:
+        """A collapsed repetition was persisted from its representative."""
+
     def task_retry(self, task, attempt: int, kind: str) -> None:
         """An attempt failed; the task will be retried."""
 
@@ -105,6 +108,7 @@ class SweepDashboard(ProgressSink):
         self._cached = 0
         self._done = 0
         self._executed = 0
+        self._collapsed = 0
         self._running: Dict[str, float] = {}
         self._sim_hours_done = 0.0
         self._wall_s_done = 0.0
@@ -161,6 +165,14 @@ class SweepDashboard(ProgressSink):
         else:
             self._paint()
 
+    def task_replicated(self, task, representative_digest: str) -> None:
+        # Replicas cost no kernel time, so they stay out of the ETA rate.
+        self._done += 1
+        self._collapsed += 1
+        self._family_done[task.family] = self._family_done.get(task.family, 0) + 1
+        if not self.plain:
+            self._paint()
+
     def task_retry(self, task, attempt: int, kind: str) -> None:
         self._running.pop(task.digest, None)
         self._retries += 1
@@ -205,8 +217,8 @@ class SweepDashboard(ProgressSink):
         if self.plain:
             self._line(
                 f"sweep finished: {self._done}/{self._total} resolved, "
-                f"{self._executed} executed, {self._cached} cached, "
-                f"{len(self._failures)} failed"
+                f"{self._executed} executed, {self._collapsed} collapsed, "
+                f"{self._cached} cached, {len(self._failures)} failed"
             )
         else:
             self._paint(force=True)
@@ -242,7 +254,8 @@ class SweepDashboard(ProgressSink):
             flags.append("DEGRADED")
         lines = [
             f"sweep {self._done}/{self._total} "
-            f"({self._cached} cached, {self._executed} executed"
+            f"({self._cached} cached, {self._executed} executed, "
+            f"{self._collapsed} collapsed"
             + (", " + ", ".join(flags) if flags else "")
             + f") · elapsed {elapsed:.0f}s"
         ]

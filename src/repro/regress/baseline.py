@@ -56,7 +56,6 @@ _HIGHER_BETTER = frozenset({
     "served_demand_gb",
     "speedup",
     "sim_hours_per_second",
-    "batch_sweep_speedup",
 })
 
 #: Metrics where a smaller observed value is the good direction.
@@ -79,7 +78,6 @@ _PERF_TIMING_TOLERANCES = {
     # to seed-kernel speeds, not a noisy scheduler.
     "speedup": 0.60,
     "sim_hours_per_second": 0.60,
-    "batch_sweep_speedup": 0.60,
 }
 
 #: Perf per-scheme keys that are raw seconds — machine-dependent and not
@@ -247,8 +245,8 @@ def cells_from_aggregates(
 ) -> Dict[str, Dict[str, float]]:
     """Observed ``cell -> metric -> value`` cells from sweep aggregates.
 
-    Non-metric bookkeeping columns (family/scenario/scheme/runs) are
-    dropped; everything numeric left is a metric.
+    Non-metric bookkeeping columns (family/scenario/scheme and the run
+    counts) are dropped; everything numeric left is a metric.
     """
     cells: Dict[str, Dict[str, float]] = {}
     for row in rows:
@@ -256,7 +254,7 @@ def cells_from_aggregates(
         cells[key] = {
             name: float(value)
             for name, value in row.items()
-            if name not in ("family", "scenario", "scheme", "runs")
+            if name not in ("family", "scenario", "scheme", "runs", "distinct_runs")
             and isinstance(value, (int, float))
         }
     return cells

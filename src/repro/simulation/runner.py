@@ -22,7 +22,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.schemes import SchemeConfig, no_sleep
+from repro.core.schemes import AggregationKind, SchemeConfig, no_sleep
 from repro.power.models import AccessNetworkPowerModel, DEFAULT_POWER_MODEL
 from repro.simulation.metrics import average_timeseries
 from repro.simulation.simulator import AccessNetworkSimulator, SimulationResult
@@ -37,6 +37,26 @@ def scheme_run_seed(base_seed: int, run_index: int, scheme_name: str) -> int:
     invocations and worker processes.
     """
     return base_seed + 1000 * run_index + zlib.crc32(scheme_name.encode("utf-8")) % 997
+
+
+def uses_run_seed(scheme: SchemeConfig) -> bool:
+    """Whether a run of ``scheme`` depends on its run seed at all.
+
+    The simulator seeds one RNG with the run seed and draws from it only
+    to seed the BH2 terminals.  Every other scheme's trajectory is fixed
+    by the scenario (trace, topology, fleet, churn — all drawn from the
+    scenario seed), so repetitions that differ only in their run seed
+    are byte-identical.  The sweep engine relies on this to simulate one
+    repetition of such a scheme and replicate the rest.
+
+    Latent trap: :class:`~repro.wireless.channel.WirelessChannel` also
+    receives the run seed and draws log-normal shadowing from it when
+    ``shadowing_sigma_db > 0``.  The simulator builds its channel with
+    the default ``shadowing_sigma_db=0``, so no draw happens; a simulator
+    that enables shadowing must make this return ``True`` for every
+    scheme.
+    """
+    return scheme.aggregation is AggregationKind.BH2
 
 
 def run_scheme(

@@ -8,6 +8,12 @@ serial execution, a parallel execution and a resumed execution of the
 same grid produce bit-identical per-run metrics and therefore
 bit-identical aggregates.
 
+Only BH2 draws from the run seed, so the repetitions of every other
+scheme are copies of one run.  The engine runs the kernel once per such
+(spec, scheme) group and persists the other repetitions as replicas
+(:func:`plan_collapse`), each under its own digest, so the store holds
+exactly what running every cell would have written.
+
 Workers rebuild scenarios from their (small, picklable) specs and keep a
 per-process cache keyed by spec, so a spec's trace is generated once per
 worker regardless of how many scheme × repetition tasks land on it.
@@ -49,12 +55,10 @@ from repro.resilience.supervisor import (
     run_serial_supervised,
     run_supervised,
 )
-from repro.simulation.runner import run_scheme, scheme_run_seed
+from repro.simulation.runner import run_scheme, scheme_run_seed, uses_run_seed
 from repro.simulation.simulator import SimulationResult
 from repro.sweep.catalog import ScenarioFamily, ScenarioSpec, resolve_families
 from repro.sweep.store import ResultStore, RunDigestSeries, RunRecord
-from repro.vec.kernel import run_lanes
-from repro.vec.packer import BatchPlan, plan_batch
 
 #: Peak window (11:00-19:00) of the paper's peak-hour statistics; sweeps
 #: over traces too short to contain it fall back to the full duration.
@@ -218,6 +222,9 @@ class TaskOutput:
     obs: Dict[str, dict]
     build_s: float
     run_s: float
+    #: Digest of the representative a replica copied its metrics from
+    #: (``None`` for a cell the kernel ran).
+    replica_of: Optional[str] = None
 
 
 def _execute_task(task: SweepTask) -> TaskOutput:
@@ -258,143 +265,79 @@ def _execute_task(task: SweepTask) -> TaskOutput:
     )
 
 
-def _run_vec_groups(
-    plan: BatchPlan, persist, records, registry, task_stats, progress, tracer,
-) -> Tuple[List[SweepTask], int, int]:
-    """Execute every batched lane group in-process (parent side).
+def plan_collapse(tasks: Sequence[SweepTask]) -> Dict[str, SweepTask]:
+    """Map every replica cell's digest to the task that represents it.
 
-    Each surviving lane persists through the same ``persist`` hook the
-    supervised pool uses, so the store manifest and the timings ledger
-    stay 1:1 with executed cells.  Lanes that diverge (or an entire
-    group that errors) are returned as *peeled* tasks for the scalar
-    pool — peel-as-restart is safe because lane state is fully
-    determined by the scenario, so nothing is lost by re-running from
-    t=0 through the exact kernel.
+    Cells are grouped by (spec, scheme, step_s, sample_interval_s).  For
+    a scheme that does not use the run seed
+    (:func:`~repro.simulation.runner.uses_run_seed`), the group's
+    lowest-``run_index`` cell represents it and every other cell is a
+    replica: its metrics are the representative's, byte for byte.  Cells
+    of seed-consuming schemes (BH2) never appear in the map.
     """
-    peeled_tasks: List[SweepTask] = []
-    batched = peeled = 0
-    for group in plan.vec_groups:
-        scenario = _SCENARIO_CACHE.get(group.spec)
-        build_s = 0.0
-        if scenario is None:
-            build_start = time.perf_counter()
-            scenario = group.spec.build()
-            build_s = time.perf_counter() - build_start
-            _SCENARIO_CACHE.clear()
-            _SCENARIO_CACHE[group.spec] = scenario
-        for task in group.lanes:
-            notify(progress, "task_started", task, 0)
-        run_start = time.perf_counter()
-        try:
-            outcomes = run_lanes(
-                scenario,
-                [task.scheme for task in group.lanes],
-                step_s=group.step_s,
-                sample_interval_s=group.sample_interval_s,
-            )
-        except Exception:  # noqa: BLE001 — any kernel failure peels to scalar
-            registry.counter("vec.group_errors", 1)
-            outcomes = None
-        group_s = time.perf_counter() - run_start
-        if tracer is not None:
-            tracer.span(
-                "vec.group", run_start, time.perf_counter(), clock="wall",
-                cat="vec", lanes=len(group.lanes),
-            )
-        if outcomes is None:
-            peeled_tasks.extend(group.lanes)
-            peeled += len(group.lanes)
-            registry.counter("vec.peeled_lanes", len(group.lanes))
-            continue
-        lane_s = group_s / max(1, len(group.lanes))
-        charged_build = False
-        for task, outcome in zip(group.lanes, outcomes):
-            if outcome.result is None:
-                peeled_tasks.append(task)
-                peeled += 1
-                registry.counter("vec.peeled_lanes", 1)
-                continue
-            record = RunRecord(
-                digest=task.digest,
-                family=task.family,
-                label=task.spec.label,
-                scheme=task.scheme.name,
-                run_index=task.run_index,
-                seed=task.seed,
-                duration_s=task.spec.duration_s,
-                metrics=run_metrics(outcome.result, task.spec.duration_s),
-            )
-            lane_registry = MetricsRegistry.from_snapshot(
-                kernel_snapshot(outcome.result, lane_s)
-            )
-            if build_s > 0 and not charged_build:
-                lane_registry.observe("sweep.trace_build_s", build_s)
-            output = TaskOutput(
-                record=record,
-                obs=lane_registry.snapshot(),
-                build_s=build_s if not charged_build else 0.0,
-                run_s=lane_s,
-            )
-            charged_build = True
-            persist(output, 0)
-            records[task.digest] = record
-            registry.merge(output.obs)
-            task_stats[task.digest] = {"attempts": 1, "wall_s": lane_s}
-            notify(progress, "task_done", task, 0, lane_s)
-            batched += 1
-        registry.counter("vec.groups", 1)
-        registry.counter("vec.lanes", len(group.lanes))
-    _SCENARIO_CACHE.clear()
-    return peeled_tasks, batched, peeled
+    groups: Dict[tuple, List[SweepTask]] = {}
+    for task in tasks:
+        if not uses_run_seed(task.scheme):
+            key = (task.spec, task.scheme, task.step_s, task.sample_interval_s)
+            groups.setdefault(key, []).append(task)
+    replica_of: Dict[str, SweepTask] = {}
+    for group in groups.values():
+        representative = min(group, key=lambda task: task.run_index)
+        for task in group:
+            if task.digest != representative.digest:
+                replica_of[task.digest] = representative
+    return replica_of
 
 
-def _replicate_collapsed(
-    plan: BatchPlan, persist, records, registry, task_stats, progress,
-) -> Tuple[List[TaskFailure], int]:
-    """Replicate run-seed-invariant repetitions from their representative.
+def _replicate(
+    replicas: Sequence[SweepTask],
+    replica_of: Dict[str, SweepTask],
+    persist,
+    records: Dict[str, RunRecord],
+    progress,
+) -> Tuple[Dict[str, str], List[TaskFailure]]:
+    """Persist every replica with its representative's metrics.
 
-    Runs after the scalar pool so it also covers representatives that
-    were peeled (or were never vec-eligible) and executed there.  Each
-    replica gets its own store record and ledger line under its own
-    digest/seed, so resumes and caches behave exactly as in scalar mode.
-    A missing representative (failed under ``--keep-going``) fails its
-    replicas instead of guessing.
+    Each replica gets its own record under its own digest, seed and
+    ``run_index``, so the store holds exactly what full execution would
+    have written.  A representative without a record (it failed under
+    ``keep_going``) fails its replicas instead of guessing.
     """
+    replicated: Dict[str, str] = {}
     failures: List[TaskFailure] = []
-    collapsed = 0
-    for group in plan.collapse_groups:
-        representative = records.get(group.representative.digest)
-        for task in group.siblings:
-            if representative is None:
-                failures.append(TaskFailure(
-                    digest=task.digest,
-                    family=task.family,
-                    label=task.spec.label,
-                    scheme=task.scheme.name,
-                    run_index=task.run_index,
-                    attempts=0,
-                    kind="error",
-                    reason="collapsed representative failed",
-                ))
-                continue
-            record = RunRecord(
+    for task in replicas:
+        representative = replica_of[task.digest]
+        source = records.get(representative.digest)
+        if source is None:
+            failure = TaskFailure(
                 digest=task.digest,
                 family=task.family,
                 label=task.spec.label,
                 scheme=task.scheme.name,
                 run_index=task.run_index,
-                seed=task.seed,
-                duration_s=task.spec.duration_s,
-                metrics=dict(representative.metrics),
+                attempts=0,
+                kind="error",
+                reason=f"collapsed representative {representative.digest[:12]} failed",
             )
-            persist(TaskOutput(record=record, obs={}, build_s=0.0, run_s=0.0), 0)
-            records[task.digest] = record
-            task_stats[task.digest] = {"attempts": 0, "wall_s": 0.0}
-            notify(progress, "task_done", task, 0, 0.0)
-            collapsed += 1
-    if collapsed:
-        registry.counter("vec.collapsed_cells", collapsed)
-    return failures, collapsed
+            failures.append(failure)
+            notify(progress, "task_failed", failure)
+            continue
+        record = RunRecord(
+            digest=task.digest,
+            family=task.family,
+            label=task.spec.label,
+            scheme=task.scheme.name,
+            run_index=task.run_index,
+            seed=task.seed,
+            duration_s=task.spec.duration_s,
+            metrics=dict(source.metrics),
+        )
+        persist(TaskOutput(record=record, obs={}, build_s=0.0, run_s=0.0,
+                           replica_of=representative.digest), 0)
+        records[task.digest] = record
+        replicated[task.digest] = representative.digest
+        notify(progress, "task_replicated", task, representative.digest)
+    return replicated, failures
 
 
 @dataclass
@@ -405,28 +348,31 @@ class SweepResult:
     budget under ``--keep-going``; their digests are absent from
     ``records`` and their cells are skipped (not guessed at) by
     :meth:`aggregates`.
+
+    Every grid cell is exactly one of: a cache hit, an ``executed``
+    kernel run, or a ``collapsed`` replica of a run-seed-invariant
+    representative (see :func:`plan_collapse`).
     """
 
     tasks: List[SweepTask]
     records: Dict[str, RunRecord]
     cache_hits: int = 0
     executed: int = 0
+    collapsed: int = 0
     failures: List[TaskFailure] = field(default_factory=list)
     retries: int = 0
     respawns: int = 0
     timeouts: int = 0
     degraded: bool = False
-    #: Batched-mode accounting (``batch=True``): grid cells simulated as
-    #: vectorized lanes, cells replicated from a run-seed-invariant
-    #: representative, and lanes peeled back to the exact scalar kernel.
-    batched: int = 0
-    collapsed: int = 0
-    peeled: int = 0
+    #: Replica digest -> representative digest, for every cell this sweep
+    #: replicated instead of running.
+    replica_of: Dict[str, str] = field(default_factory=dict)
     #: Merged observability snapshot (counters/gauges/histograms) across
     #: every executed run plus the engine's own store/supervisor counters.
     obs: Dict[str, dict] = field(default_factory=dict)
     #: Per-digest supervisor accounting for *executed* cells:
-    #: ``{"attempts": n, "wall_s": s}`` (cache-served cells have none).
+    #: ``{"attempts": n, "wall_s": s}`` (cache-served cells and replicas
+    #: have none).
     task_stats: Dict[str, Dict[str, float]] = field(default_factory=dict)
 
     @property
@@ -452,13 +398,19 @@ class SweepResult:
         Cells lost to failures (``--keep-going``) are left out of their
         group's mean — and a group with no surviving repetition is left
         out of the table — rather than silently zero-filled.
+
+        ``runs`` counts the repetitions averaged; ``distinct_runs`` is the
+        effective sample count: repetitions of a scheme that ignores the
+        run seed are copies of one run, so they count once.
         """
         groups: Dict[Tuple[str, str, str], List[RunRecord]] = {}
+        seeded: Dict[Tuple[str, str, str], bool] = {}
         order: List[Tuple[str, str, str]] = []
         for task in self.tasks:
             key = (task.family, task.spec.label, task.scheme.name)
             if key not in groups:
                 groups[key] = []
+                seeded[key] = uses_run_seed(task.scheme)
                 order.append(key)
             record = self.records.get(task.digest)
             if record is not None:
@@ -484,6 +436,7 @@ class SweepResult:
                 "scenario": key[1],
                 "scheme": key[2],
                 "runs": len(records),
+                "distinct_runs": len(records) if seeded[key] else 1,
                 **means,
             })
         return rows
@@ -501,7 +454,6 @@ def run_sweep(
     chaos: Optional[ChaosConfig] = None,
     tracer=None,
     progress=None,
-    batch: bool = False,
 ) -> SweepResult:
     """Run (or resume) a sweep over the given scenario families.
 
@@ -534,14 +486,12 @@ def run_sweep(
     sink callbacks go through the exception-swallowing ``notify``
     wrapper, so — like tracing — watching never changes results.
 
-    ``batch=True`` packs compatible pending cells into vectorized lane
-    groups (:mod:`repro.vec`) before pooling: eligible schemes of one
-    scenario run as one numpy program, run-seed-invariant repetitions
-    are replicated from their representative, and anything else —
-    including lanes that diverge mid-run — falls back to the exact
-    scalar kernel.  Batched metrics are toleranced, not bit-identical
-    (see ``docs/kernel.md``); chaos injection disables batching so the
-    chaos drill keeps exercising the supervised scalar path.
+    Repetitions of a scheme that ignores the run seed are collapsed
+    (:func:`plan_collapse`): only the lowest-``run_index`` cell of each
+    group runs the kernel, and every other pending cell is persisted
+    afterwards under its own digest with the representative's metrics —
+    read from the store when the representative was already there.  The
+    store ends up byte-identical to running every cell.
     """
     if workers is not None and workers <= 0:
         raise ValueError("workers must be positive")
@@ -585,14 +535,16 @@ def run_sweep(
         )
     notify(progress, "sweep_started", tasks, frozenset(records))
 
-    executed = len(pending)
+    replica_of = plan_collapse(tasks) if pending else {}
+    run_tasks = [task for task in pending if task.digest not in replica_of]
+    replicas = [task for task in pending if task.digest in replica_of]
     policy = retry or RetryPolicy()
     # The plan covers only digests that actually execute: a cache-served
-    # cell cannot crash a worker, and victim choice stays stable across
-    # resumes of the same pending set.
+    # cell or a replica cannot crash a worker, and victim choice stays
+    # stable across resumes of the same pending set.
     plan: Optional[FaultPlan] = None
     if chaos is not None and chaos.total:
-        plan = build_plan([task.digest for task in pending], chaos)
+        plan = build_plan([task.digest for task in run_tasks], chaos)
 
     def persist(output: TaskOutput, attempt: int) -> None:
         """Parent-side persist hook; torn-write injection lives here.
@@ -601,6 +553,7 @@ def run_sweep(
         :class:`RunRecord` reaches the store, and one profiling line is
         appended to the timings ledger per successful persist (so a
         fresh sweep's ledger line count equals its manifest run count).
+        A replica's line names its representative instead of timings.
         """
         record = output.record
         if plan is not None and plan.fault_for(record.digest, attempt) is FaultKind.TORN_WRITE:
@@ -613,48 +566,35 @@ def run_sweep(
                     store.put(record)
             else:
                 store.put(record)
-            store.append_timing({
+            entry = {
                 "digest": record.digest,
                 "family": record.family,
                 "label": record.label,
                 "scheme": record.scheme,
                 "run_index": record.run_index,
-                "attempt": attempt,
-                "build_s": round(output.build_s, 6),
-                "run_s": round(output.run_s, 6),
-            })
+            }
+            if output.replica_of is not None:
+                entry["replica_of"] = output.replica_of
+            else:
+                entry["attempt"] = attempt
+                entry["build_s"] = round(output.build_s, 6)
+                entry["run_s"] = round(output.run_s, 6)
+            store.append_timing(entry)
 
     failures: List[TaskFailure] = []
     retries = respawns = timeouts = 0
     degraded = False
     task_stats: Dict[str, Dict[str, float]] = {}
     registry = MetricsRegistry()
-    batched = collapsed = peeled = 0
-    batch_plan: Optional[BatchPlan] = None
-    pool_tasks = pending
-    # Chaos drills exercise the supervised scalar path; batching would
-    # reroute cells around the fault plan, so it stands down under chaos.
-    if batch and pending and chaos is None:
-        batch_plan = plan_batch(pending)
-        peeled_tasks, batched, peeled = _run_vec_groups(
-            batch_plan, persist, records, registry, task_stats, progress, tracer,
-        )
-        # The pool keeps grid order (scalar bucket plus peeled lanes) so
-        # worker scenario caches stay warm.
-        grid_position = {task.digest: i for i, task in enumerate(pending)}
-        pool_tasks = sorted(
-            batch_plan.scalar_tasks + peeled_tasks,
-            key=lambda task: grid_position[task.digest],
-        )
-    if pool_tasks:
+    if run_tasks:
         workers = workers or 1
-        workers = max(1, min(workers, len(pool_tasks)))
+        workers = max(1, min(workers, len(run_tasks)))
         if workers == 1:
             global _TASK_TRACER
             _TASK_TRACER = tracer
             try:
                 outcome = run_serial_supervised(
-                    pool_tasks, _execute_task, persist, policy, plan=plan,
+                    run_tasks, _execute_task, persist, policy, plan=plan,
                     tracer=tracer, progress=progress,
                 )
             finally:
@@ -667,7 +607,7 @@ def run_sweep(
             # spec's cells land contiguously and a worker's per-process
             # scenario cache stays warm.
             outcome = run_supervised(
-                pool_tasks, _execute_task, persist, policy, plan=plan,
+                run_tasks, _execute_task, persist, policy, plan=plan,
                 workers=workers, tracer=tracer, progress=progress,
             )
         # Unwrap: SweepResult.records holds bare RunRecords (exactly what
@@ -682,39 +622,35 @@ def run_sweep(
         degraded = outcome.degraded
         task_stats.update(outcome.task_stats)
 
-    if batch_plan is not None:
-        # After the pool: every representative (vec lane, scalar-bucket
-        # cell, or peeled-and-rerun lane) has its record; replicate the
-        # collapsed repetitions from them.
-        replica_failures, collapsed = _replicate_collapsed(
-            batch_plan, persist, records, registry, task_stats, progress,
-        )
-        failures = failures + replica_failures
+    # After the pool every representative that could run has its record.
+    replicated, replica_failures = _replicate(
+        replicas, replica_of, persist, records, progress,
+    )
+    failures = failures + replica_failures
 
     # Every grid cell that did not need a fresh run counts as a hit,
     # including duplicates reached through two families.
-    cache_hits = len(tasks) - executed
+    cache_hits = len(tasks) - len(pending)
     registry.counter("store.cache_hits", cache_hits)
-    registry.counter("store.executed", executed)
+    registry.counter("store.executed", len(run_tasks))
     registry.counter("supervisor.retries", retries)
     registry.counter("supervisor.respawns", respawns)
     registry.counter("supervisor.timeouts", timeouts)
-    if batched:
-        registry.counter("vec.batched_cells", batched)
+    if replicas:
+        registry.counter("sweep.collapsed_cells", len(replicas))
     notify(progress, "sweep_finished")
     return SweepResult(
         tasks=tasks,
         records=records,
         cache_hits=cache_hits,
-        executed=executed,
+        executed=len(run_tasks),
+        collapsed=len(replicas),
         failures=failures,
         retries=retries,
         respawns=respawns,
         timeouts=timeouts,
         degraded=degraded,
-        batched=batched,
-        collapsed=collapsed,
-        peeled=peeled,
+        replica_of=replicated,
         obs=registry.snapshot(),
         task_stats=task_stats,
     )

@@ -36,10 +36,12 @@ def family_tables(result: SweepResult) -> Dict[str, str]:
     rows_by_family: Dict[str, List[List[object]]] = {}
     for row in result.aggregates():
         rows_by_family.setdefault(str(row["family"]), []).append(
-            [row["scenario"], row["scheme"], row["runs"]]
+            [row["scenario"], row["scheme"], row["runs"], row["distinct_runs"]]
             + [row[key] for key, _header in TABLE_METRICS]
         )
-    headers = ["scenario", "scheme", "runs"] + [header for _key, header in TABLE_METRICS]
+    headers = ["scenario", "scheme", "runs", "distinct"] + [
+        header for _key, header in TABLE_METRICS
+    ]
     return {
         family: report.format_table(headers, rows)
         for family, rows in rows_by_family.items()
@@ -199,6 +201,7 @@ def render_sweep(result: SweepResult) -> str:
     accounting = {
         "grid_runs": result.total_runs,
         "executed": result.executed,
+        "collapsed": result.collapsed,
         "cache_hits": result.cache_hits,
         "cache_hit_percent": 100.0 * result.cache_hit_fraction,
     }
@@ -207,10 +210,6 @@ def render_sweep(result: SweepResult) -> str:
         accounting["worker_respawns"] = result.respawns
         accounting["failed_cells"] = len(result.failures)
         accounting["degraded_to_serial"] = str(result.degraded).lower()
-    if result.batched or result.collapsed or result.peeled:
-        accounting["batched_lanes"] = result.batched
-        accounting["collapsed_replicas"] = result.collapsed
-        accounting["peeled_lanes"] = result.peeled
     blocks.append(report.render_key_values(accounting, title="Sweep accounting"))
     metrics = obs_table(result)
     if metrics and result.executed:
@@ -221,7 +220,8 @@ def render_sweep(result: SweepResult) -> str:
 
 
 def _run_entry(result: SweepResult, task) -> Dict[str, object]:
-    """One ``runs`` entry; executed cells carry supervisor accounting."""
+    """One ``runs`` entry; executed cells carry supervisor accounting and
+    replicas name the representative whose metrics they copied."""
     entry: Dict[str, object] = {
         "digest": task.digest,
         "family": task.family,
@@ -231,8 +231,11 @@ def _run_entry(result: SweepResult, task) -> Dict[str, object]:
         "seed": task.seed,
         "metrics": result.record_for(task).metrics,
     }
+    representative = result.replica_of.get(task.digest)
     stats = result.task_stats.get(task.digest)
-    if stats is not None:
+    if representative is not None:
+        entry["replica_of"] = representative
+    elif stats is not None:
         # Cache-served cells never reach the supervisor, so only
         # executed cells report wall-clock time and attempt counts.
         entry["wall_s"] = round(float(stats["wall_s"]), 6)
@@ -263,14 +266,12 @@ def sweep_to_json(result: SweepResult) -> str:
         "accounting": {
             "grid_runs": result.total_runs,
             "executed": result.executed,
+            "collapsed": result.collapsed,
             "cache_hits": result.cache_hits,
             "retries": result.retries,
             "worker_respawns": result.respawns,
             "timeouts": result.timeouts,
             "degraded_to_serial": result.degraded,
-            "batched_lanes": result.batched,
-            "collapsed_replicas": result.collapsed,
-            "peeled_lanes": result.peeled,
         },
         "obs": result.obs,
     }

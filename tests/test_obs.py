@@ -235,20 +235,31 @@ def test_traced_sweep_ledger_matches_manifest_and_obs_merges(tmp_path):
         store=store, workers=1, tracer=tracer,
     )
     assert not result.failures
-    # One ledger line per executed-and-persisted run (the acceptance bar).
+    # Both schemes ignore the run seed: run 0 of each (spec, scheme)
+    # executes, run 1 is a replica of it.
+    assert result.executed == result.collapsed == result.total_runs // 2
+    # One ledger line per persisted record (the acceptance bar): executed
+    # cells carry their timings, replicas name their representative.
     entries = store.read_timings()
-    assert len(entries) == result.executed == result.total_runs
+    assert len(entries) == result.total_runs
     manifest_lines = [
         line for line in store.manifest_path.read_text().splitlines() if line
     ]
     assert len(entries) == len(manifest_lines)
-    assert all(entry["run_s"] > 0 for entry in entries)
+    executed = [entry for entry in entries if "replica_of" not in entry]
+    replicas = [entry for entry in entries if "replica_of" in entry]
+    assert len(executed) == result.executed
+    assert all(entry["run_s"] > 0 for entry in executed)
+    assert {entry["digest"]: entry["replica_of"] for entry in replicas} == result.replica_of
+    assert all("run_s" not in entry and "attempt" not in entry for entry in replicas)
+    assert set(result.replica_of.values()) == {entry["digest"] for entry in executed}
     # Worker metrics merged into the sweep-wide registry snapshot.
     assert result.obs["counters"]["kernel.runs"] == result.executed
     assert result.obs["counters"]["store.executed"] == result.executed
+    assert result.obs["counters"]["sweep.collapsed_cells"] == result.collapsed
     assert result.obs["histograms"]["kernel.run_s"]["count"] == result.executed
-    # Executed cells carry wall-clock + attempt accounting.
-    assert set(result.task_stats) == set(result.records)
+    # Executed cells (and only they) carry wall-clock + attempt accounting.
+    assert set(result.task_stats) == set(result.records) - set(result.replica_of)
     assert all(s["attempts"] == 1 for s in result.task_stats.values())
     # The serial sweep captured sim-time events and wall-clock spans.
     names = {event["name"] for event in tracer.events}
@@ -278,15 +289,26 @@ def test_sweep_json_carries_wall_s_attempts_and_obs(tmp_path):
                        store=ResultStore(tmp_path), workers=1)
     payload = json.loads(sweep_to_json(result))
     assert payload["accounting"]["timeouts"] == 0
+    assert payload["accounting"]["executed"] == result.executed
+    assert payload["accounting"]["collapsed"] == result.collapsed
     assert payload["obs"]["counters"]["kernel.runs"] == result.executed
-    for entry in payload["runs"]:
+    executed = [entry for entry in payload["runs"] if "replica_of" not in entry]
+    replicas = [entry for entry in payload["runs"] if "replica_of" in entry]
+    assert (len(executed), len(replicas)) == (result.executed, result.collapsed)
+    for entry in executed:
         assert entry["wall_s"] > 0
         assert entry["attempts"] == 1
+    # A replica reports the cell it copied, not a fake wall time.
+    executed_digests = {entry["digest"] for entry in executed}
+    for entry in replicas:
+        assert entry["replica_of"] in executed_digests
+        assert "wall_s" not in entry and "attempts" not in entry
     # A resumed sweep serves from cache: no supervisor accounting to report.
     rerun = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG,
                       store=ResultStore(tmp_path), workers=1)
     for entry in json.loads(sweep_to_json(rerun))["runs"]:
         assert "wall_s" not in entry and "attempts" not in entry
+        assert "replica_of" not in entry
 
 
 def test_timings_ledger_reader_tolerates_torn_lines(tmp_path):

@@ -146,15 +146,21 @@ def test_exhausted_retries_abort_without_keep_going():
 
 
 def test_keep_going_yields_partial_aggregates_and_ledger(tmp_path):
+    store_dir = tmp_path / "store"
     result = run_sweep(
         families=[TINY], schemes=SCHEMES, config=CONFIG, workers=1,
-        store=ResultStore(tmp_path),
+        store=ResultStore(store_dir),
         retry=RetryPolicy(max_retries=0, keep_going=True),
         chaos=ChaosConfig(raises=2, seed=2),
     )
-    assert len(result.failures) == 2
+    # Both raises hit executed representatives; each one's replica (the
+    # second repetition) fails with it instead of being guessed.
+    kernel_failures = [f for f in result.failures if f.attempts == 1]
+    replica_failures = [f for f in result.failures if f.attempts == 0]
+    assert len(kernel_failures) == len(replica_failures) == 2
+    assert len(result.failures) == 4
     assert all(f.kind == "error" for f in result.failures)
-    assert all(f.attempts == 1 for f in result.failures)
+    assert all("representative" in f.reason for f in replica_failures)
     failed = {f.digest for f in result.failures}
     assert failed.isdisjoint(result.records)
     # Aggregates skip the failed cells instead of zero-filling them.
@@ -164,9 +170,16 @@ def test_keep_going_yields_partial_aggregates_and_ledger(tmp_path):
     assert total_runs == result.total_runs - len(result.failures)
     # The failed cells are resumable: a retry-free re-run completes them.
     rescue = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG,
-                       workers=1, store=ResultStore(tmp_path))
+                       workers=1, store=ResultStore(store_dir))
     assert not rescue.failures
-    assert rescue.executed == len(failed)
+    assert rescue.executed == len(kernel_failures)
+    assert rescue.collapsed == len(replica_failures)
+    # Chaos, resume and collapse together still land on the bytes of a
+    # clean serial sweep.
+    clean_dir = tmp_path / "clean"
+    run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG, workers=1,
+              store=ResultStore(clean_dir))
+    assert store_bytes(store_dir) == store_bytes(clean_dir)
 
 
 def test_supervised_retry_reuses_the_same_task_seed():
@@ -238,9 +251,9 @@ def test_timeout_only_chaos_accounts_timeouts_and_respawns(tmp_path):
     assert result.timeouts == 1
     assert result.respawns >= 1
     assert result.retries >= 1
-    # Every cell was executed and reports wall-clock + attempt stats;
-    # the hung cell took (at least) two attempts.
-    assert set(result.task_stats) == set(result.records)
+    # Every executed cell reports wall-clock + attempt stats (replicas
+    # never ran); the hung cell took (at least) two attempts.
+    assert set(result.task_stats) == set(result.records) - set(result.replica_of)
     attempts = sorted(int(s["attempts"]) for s in result.task_stats.values())
     assert attempts[-1] >= 2 and attempts[0] == 1
     assert all(s["wall_s"] >= 0.0 for s in result.task_stats.values())
@@ -262,7 +275,7 @@ def test_raise_only_chaos_accounts_retries_without_respawns(tmp_path):
     assert result.timeouts == 0
     attempts = sorted(int(s["attempts"]) for s in result.task_stats.values())
     assert attempts.count(2) == raises
-    assert attempts.count(1) == result.total_runs - raises
+    assert attempts.count(1) == result.executed - raises
 
 
 def test_degrades_to_serial_when_the_pool_keeps_dying(tmp_path):

@@ -30,15 +30,18 @@ def test_serial_and_parallel_aggregates_are_bit_identical():
     serial = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG)
     parallel = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG, workers=2)
     assert serial.aggregates() == parallel.aggregates()
-    assert serial.executed == parallel.executed == 8
+    # Both schemes ignore the run seed: one kernel run per (spec, scheme),
+    # the second repetition replicated from it.
+    assert serial.executed == parallel.executed == 4
+    assert serial.collapsed == parallel.collapsed == 4
 
 
 def test_second_invocation_is_served_from_cache(tmp_path):
     store = ResultStore(tmp_path)
     first = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG, store=store)
-    assert first.executed == 8 and first.cache_hits == 0
+    assert first.executed == first.collapsed == 4 and first.cache_hits == 0
     second = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG, store=store)
-    assert second.executed == 0
+    assert second.executed == second.collapsed == 0
     assert second.cache_hit_fraction == 1.0
     assert second.aggregates() == first.aggregates()
 
@@ -53,7 +56,11 @@ def test_interrupted_sweep_resumes_to_identical_aggregates(tmp_path):
     for digest in lost:
         store.path_for(digest).unlink()
     resumed = run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG, store=store, workers=2)
-    assert resumed.executed == len(lost)
+    # Both lost cells are second repetitions: they are replicated from
+    # their stored representatives without running the kernel.
+    assert [full.tasks[1].run_index, full.tasks[5].run_index] == [1, 1]
+    assert resumed.executed == 0
+    assert resumed.collapsed == len(lost)
     assert resumed.cache_hits == 8 - len(lost)
     assert resumed.aggregates() == reference.aggregates()
 
@@ -64,7 +71,7 @@ def test_no_resume_recomputes_but_matches(tmp_path):
     fresh = run_sweep(
         families=[TINY], schemes=SCHEMES, config=CONFIG, store=store, use_cache=False
     )
-    assert fresh.executed == 8
+    assert fresh.executed == fresh.collapsed == 4
     assert fresh.aggregates() == first.aggregates()
 
 
