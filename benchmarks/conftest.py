@@ -52,13 +52,13 @@ def scenario(evaluation_scale):
 
 
 @pytest.fixture(scope="session")
-def comparison(evaluation_scale, scenario):
+def comparison(evaluation_scale):
     """The scheme comparison behind Figs. 6-9 and the line-card table."""
     schemes = [
         no_sleep(), soi(), soi_kswitch(), soi_full_switch(),
         bh2_kswitch(), bh2_no_backup_kswitch(), bh2_full_switch(), optimal(),
     ]
-    return figures.run_evaluation(scale=evaluation_scale, schemes=schemes, scenario=scenario)
+    return figures.run_evaluation(scale=evaluation_scale, schemes=schemes)
 
 
 def print_series(title, series, x_key, y_key, stride=60):

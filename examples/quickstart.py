@@ -6,25 +6,20 @@ runs the five schemes of Fig. 6 and prints the energy savings, the number of
 powered gateways and the number of powered DSLAM line cards.
 """
 
-from repro import build_default_scenario, standard_schemes
-from repro.simulation.metrics import summarize_savings
-from repro.simulation.runner import ExperimentRunner
+from repro.analysis import figures
 from repro.analysis.report import render_summary
+from repro.simulation.metrics import summarize_savings
 
 
 def main() -> None:
-    scenario = build_default_scenario(
-        seed=7,
-        num_clients=100,
-        num_gateways=16,
-        duration=24 * 3600.0,
+    scale = figures.EvaluationScale(
+        num_clients=100, num_gateways=16, duration_s=24 * 3600.0, step_s=2.0, seed=7
     )
+    comparison = figures.run_evaluation(scale)
+    scenario = comparison.scenario
     print(f"scenario: {scenario.num_clients} clients, {scenario.num_gateways} gateways, "
           f"{scenario.dslam.num_line_cards} line cards, "
           f"mean {scenario.topology.mean_reachable():.1f} gateways in range of a client")
-
-    runner = ExperimentRunner(scenario, runs_per_scheme=1, step_s=2.0)
-    comparison = runner.run(standard_schemes())
 
     summary = summarize_savings({name: comparison.first(name) for name in comparison.scheme_names})
     print()

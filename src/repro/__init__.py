@@ -37,7 +37,7 @@ from repro.core.schemes import (
     watt_schemes,
 )
 from repro.power.models import AccessNetworkPowerModel, DEFAULT_POWER_MODEL
-from repro.simulation.runner import ExperimentRunner, SchemeComparison, run_scheme
+from repro.simulation.runner import SchemeComparison, run_scheme
 from repro.simulation.simulator import AccessNetworkSimulator, SimulationResult
 from repro.sweep import ResultStore, ScenarioFamily, ScenarioSpec, run_sweep
 from repro.topology.scenario import DslamConfig, Scenario, build_default_scenario
@@ -68,7 +68,6 @@ __all__ = [
     "DEFAULT_POWER_MODEL",
     "AccessNetworkSimulator",
     "SimulationResult",
-    "ExperimentRunner",
     "SchemeComparison",
     "run_scheme",
     "Scenario",

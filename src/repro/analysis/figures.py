@@ -31,13 +31,10 @@ from repro.simulation.metrics import (
     fraction_of_flows_affected,
     online_time_variation_cdf,
 )
-from repro.simulation.runner import (
-    ExperimentRunner,
-    ParallelExperimentRunner,
-    SchemeComparison,
-    run_scheme,
-)
-from repro.topology.scenario import Scenario, build_default_scenario
+from repro.simulation.runner import SchemeComparison, run_scheme
+from repro.sweep.catalog import ScenarioSpec
+from repro.sweep.engine import SweepConfig, run_comparison
+from repro.topology.scenario import Scenario
 from repro.traces.adsl import AdslPopulationConfig, AdslUtilizationModel
 from repro.traces.analysis import peak_hour_gap_histogram, utilization_timeseries
 from repro.traces.models import WirelessTrace
@@ -74,15 +71,21 @@ def full_scale() -> EvaluationScale:
     return EvaluationScale(runs_per_scheme=10)
 
 
-def build_scenario(scale: EvaluationScale, density: Optional[float] = None) -> Scenario:
-    """The evaluation scenario for a given scale (and optional density override)."""
-    return build_default_scenario(
-        seed=scale.seed,
+def _scale_spec(scale: EvaluationScale, density: Optional[float] = None) -> ScenarioSpec:
+    """The catalog spec of a scale's scenario (the paper's deployment otherwise)."""
+    return ScenarioSpec(
+        label="evaluation",
         num_clients=scale.num_clients,
         num_gateways=scale.num_gateways,
-        duration=scale.duration_s,
-        density_override=density,
+        duration_s=scale.duration_s,
+        seed=scale.seed,
+        density=density,
     )
+
+
+def build_scenario(scale: EvaluationScale, density: Optional[float] = None) -> Scenario:
+    """The evaluation scenario for a given scale (and optional density override)."""
+    return _scale_spec(scale, density).build()
 
 
 # ----------------------------------------------------------------------
@@ -149,36 +152,27 @@ def figure5(
 def run_evaluation(
     scale: Optional[EvaluationScale] = None,
     schemes: Optional[Sequence[SchemeConfig]] = None,
-    scenario: Optional[Scenario] = None,
     workers: Optional[int] = None,
 ) -> SchemeComparison:
     """Run the scheme comparison all the Sec. 5 figures derive from.
 
-    ``workers`` > 1 fans the scheme × repetition grid over that many
-    processes with :class:`ParallelExperimentRunner`; the results are
-    identical to the serial runner (the per-run seeds are deterministic),
-    only faster.
+    The sweep engine runs it (:func:`~repro.sweep.engine.run_comparison`):
+    ``workers`` > 1 fans the runs out over that many supervised processes
+    with results identical to a serial run, and repetitions of a scheme
+    that ignores the run seed are run once and shared.
     """
     scale = scale or quick_scale()
-    scenario = scenario or build_scenario(scale)
-    if workers is not None and workers > 1:
-        runner: ExperimentRunner = ParallelExperimentRunner(
-            scenario=scenario,
-            runs_per_scheme=scale.runs_per_scheme,
-            step_s=scale.step_s,
-            sample_interval_s=scale.sample_interval_s,
-            base_seed=scale.seed,
-            workers=workers,
-        )
-    else:
-        runner = ExperimentRunner(
-            scenario=scenario,
-            runs_per_scheme=scale.runs_per_scheme,
-            step_s=scale.step_s,
-            sample_interval_s=scale.sample_interval_s,
-            base_seed=scale.seed,
-        )
-    return runner.run(list(schemes) if schemes is not None else standard_schemes())
+    config = SweepConfig(
+        runs_per_scheme=scale.runs_per_scheme,
+        step_s=scale.step_s,
+        sample_interval_s=scale.sample_interval_s,
+    )
+    return run_comparison(
+        _scale_spec(scale),
+        list(schemes) if schemes is not None else standard_schemes(),
+        config,
+        workers=workers,
+    )
 
 
 def figure6(comparison: SchemeComparison) -> Dict[str, Dict[str, List[float]]]:

@@ -54,7 +54,7 @@ def _add_simulate_parser(subparsers) -> None:
         "--workers",
         type=int,
         default=None,
-        help="fan scheme runs out over this many processes "
+        help="run the comparison on this many supervised worker processes "
         "(results are identical to a serial run; default: serial)",
     )
     parser.add_argument(
@@ -687,6 +687,19 @@ def _cmd_trace(args) -> int:
     return 0
 
 
+def _check_positive(flags) -> Optional[int]:
+    """Exit code 2 after a one-line message for the first non-positive flag.
+
+    ``flags`` holds ``(flag, value)`` pairs; a ``None`` value (an unset
+    optional flag) passes.
+    """
+    for flag, value in flags:
+        if value is not None and value <= 0:
+            print(f"{flag} must be positive (got {value})", file=sys.stderr)
+            return 2
+    return None
+
+
 def _resolve_schemes(spec: str):
     """Comma-separated scheme names -> configs; None after printing an error."""
     known = all_schemes()
@@ -698,6 +711,13 @@ def _resolve_schemes(spec: str):
 
 
 def _cmd_simulate(args) -> int:
+    code = _check_positive([
+        ("--clients", args.clients), ("--gateways", args.gateways),
+        ("--hours", args.hours), ("--runs", args.runs), ("--step", args.step),
+        ("--workers", args.workers),
+    ])
+    if code is not None:
+        return code
     scale = figures.EvaluationScale(
         num_clients=args.clients,
         num_gateways=args.gateways,
@@ -815,14 +835,10 @@ def _validate_sweep_args(args, selected_families) -> Optional[int]:
             print(f"unknown scenario family '{name}'; known families: {', '.join(known)}",
                   file=sys.stderr)
             return 2
-    for flag, value in [("--runs", args.runs), ("--step", args.step), ("--sample", args.sample)]:
-        if value <= 0:
-            print(f"{flag} must be positive (got {value})", file=sys.stderr)
-            return 2
-    if args.workers is not None and args.workers <= 0:
-        print(f"--workers must be positive (got {args.workers})", file=sys.stderr)
-        return 2
-    return None
+    return _check_positive([
+        ("--runs", args.runs), ("--step", args.step), ("--sample", args.sample),
+        ("--workers", args.workers),
+    ])
 
 
 def _cmd_wattopt(args) -> int:
@@ -1011,11 +1027,12 @@ def _cmd_obs_trace(args) -> int:
         print(f"unknown scheme '{args.scheme}'; known schemes: "
               f"{', '.join(all_schemes())}", file=sys.stderr)
         return 2
-    for flag, value in [("--clients", args.clients), ("--gateways", args.gateways),
-                        ("--hours", args.hours), ("--step", args.step)]:
-        if value <= 0:
-            print(f"{flag} must be positive (got {value})", file=sys.stderr)
-            return 2
+    code = _check_positive([
+        ("--clients", args.clients), ("--gateways", args.gateways),
+        ("--hours", args.hours), ("--step", args.step),
+    ])
+    if code is not None:
+        return code
     scale = figures.EvaluationScale(
         num_clients=args.clients,
         num_gateways=args.gateways,

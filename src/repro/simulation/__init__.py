@@ -3,19 +3,14 @@
 :class:`~repro.simulation.simulator.AccessNetworkSimulator` replays a
 wireless trace over a residential scenario under one of the evaluated
 schemes and records energy, device states and per-flow QoS.
-:mod:`repro.simulation.runner` orchestrates multi-run, multi-scheme
-comparisons, and :mod:`repro.simulation.metrics` post-processes results
-into the quantities plotted in the paper's figures.
+:mod:`repro.simulation.runner` runs one scheme and holds the multi-run
+comparison that :func:`repro.sweep.engine.run_comparison` fills, and
+:mod:`repro.simulation.metrics` post-processes results into the
+quantities plotted in the paper's figures.
 """
 
 from repro.simulation.simulator import AccessNetworkSimulator, SimulationResult
-from repro.simulation.runner import (
-    ExperimentRunner,
-    ParallelExperimentRunner,
-    SchemeComparison,
-    run_scheme,
-    scheme_run_seed,
-)
+from repro.simulation.runner import SchemeComparison, run_scheme, scheme_run_seed
 from repro.simulation.metrics import (
     average_timeseries,
     cdf,
@@ -26,8 +21,6 @@ from repro.simulation.metrics import (
 __all__ = [
     "AccessNetworkSimulator",
     "SimulationResult",
-    "ExperimentRunner",
-    "ParallelExperimentRunner",
     "SchemeComparison",
     "run_scheme",
     "scheme_run_seed",

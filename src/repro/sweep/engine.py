@@ -1,12 +1,15 @@
 """The sweep engine: shard the scenario × scheme × repetition grid.
 
-The engine generalises :class:`~repro.simulation.runner.ParallelExperimentRunner`
-from one scenario to the whole catalog grid: every task carries its own
-:class:`~repro.sweep.catalog.ScenarioSpec` and is seeded with the same
-crc32-deterministic :func:`~repro.simulation.runner.scheme_run_seed`, so a
-serial execution, a parallel execution and a resumed execution of the
+Every cell of the grid is a :class:`SweepTask` that carries its own
+:class:`~repro.sweep.catalog.ScenarioSpec` and is seeded with the
+crc32-deterministic :func:`~repro.simulation.runner.scheme_run_seed`, so
+a serial execution, a parallel execution and a resumed execution of the
 same grid produce bit-identical per-run metrics and therefore
-bit-identical aggregates.
+bit-identical aggregates.  The engine is the repo's one execution path:
+:func:`run_sweep` runs catalog grids into the result store, and
+:func:`run_comparison` runs the paper's one-scenario scheme comparison
+(the figures and ``simulate``) over the same expansion, collapse and
+supervised dispatch, returning whole results instead of stored metrics.
 
 Only BH2 draws from the run seed, so the repetitions of every other
 scheme are copies of one run.  The engine runs the kernel once per such
@@ -34,11 +37,12 @@ prove it.
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.core.schemes import SchemeConfig, standard_schemes
+from repro.core.schemes import SchemeConfig, no_sleep, standard_schemes
 from repro.obs.metrics import MetricsRegistry, kernel_snapshot
 from repro.obs.progress import notify
 from repro.resilience.faults import (
@@ -51,14 +55,21 @@ from repro.resilience.faults import (
 )
 from repro.resilience.supervisor import (
     RetryPolicy,
+    SupervisedOutcome,
     TaskFailure,
     run_serial_supervised,
     run_supervised,
 )
-from repro.simulation.runner import run_scheme, scheme_run_seed, uses_run_seed
+from repro.simulation.runner import (
+    SchemeComparison,
+    run_scheme,
+    scheme_run_seed,
+    uses_run_seed,
+)
 from repro.simulation.simulator import SimulationResult
 from repro.sweep.catalog import ScenarioFamily, ScenarioSpec, resolve_families
 from repro.sweep.store import ResultStore, RunDigestSeries, RunRecord
+from repro.topology.scenario import Scenario
 
 #: Peak window (11:00-19:00) of the paper's peak-hour statistics; sweeps
 #: over traces too short to contain it fall back to the full duration.
@@ -227,16 +238,26 @@ class TaskOutput:
     replica_of: Optional[str] = None
 
 
+def _cached_scenario(spec: ScenarioSpec) -> Tuple[Scenario, float]:
+    """The spec's scenario from the per-process cache, and its build time.
+
+    The build time is 0.0 on a cache hit; a miss replaces the cache's
+    single entry.
+    """
+    scenario = _SCENARIO_CACHE.get(spec)
+    if scenario is not None:
+        return scenario, 0.0
+    build_start = time.perf_counter()
+    scenario = spec.build()
+    build_s = time.perf_counter() - build_start
+    _SCENARIO_CACHE.clear()
+    _SCENARIO_CACHE[spec] = scenario
+    return scenario, build_s
+
+
 def _execute_task(task: SweepTask) -> TaskOutput:
-    """Run one grid cell (top-level so multiprocessing can pickle it)."""
-    scenario = _SCENARIO_CACHE.get(task.spec)
-    build_s = 0.0
-    if scenario is None:
-        build_start = time.perf_counter()
-        scenario = task.spec.build()
-        build_s = time.perf_counter() - build_start
-        _SCENARIO_CACHE.clear()
-        _SCENARIO_CACHE[task.spec] = scenario
+    """Run one grid cell (top-level so the supervisor can pickle it)."""
+    scenario, build_s = _cached_scenario(task.spec)
     run_start = time.perf_counter()
     result = run_scheme(
         scenario,
@@ -442,6 +463,42 @@ class SweepResult:
         return rows
 
 
+def _dispatch(
+    tasks: Sequence[SweepTask],
+    execute: Callable,
+    persist: Callable[[object, int], None],
+    policy: RetryPolicy,
+    workers: int,
+    plan: Optional[FaultPlan] = None,
+    tracer=None,
+    progress=None,
+) -> SupervisedOutcome:
+    """Run tasks on the supervisor: in-process for one worker, pooled otherwise.
+
+    Tasks keep their grid order on first assignment, so each spec's cells
+    land contiguously and a worker's per-process scenario cache stays
+    warm.  Only the in-process path hands ``tracer`` to the kernel.
+    """
+    global _TASK_TRACER
+    workers = max(1, min(workers, len(tasks)))
+    try:
+        if workers == 1:
+            _TASK_TRACER = tracer
+            return run_serial_supervised(
+                tasks, execute, persist, policy, plan=plan,
+                tracer=tracer, progress=progress,
+            )
+        return run_supervised(
+            tasks, execute, persist, policy, plan=plan,
+            workers=workers, tracer=tracer, progress=progress,
+        )
+    finally:
+        _TASK_TRACER = None
+        # Don't pin the last scenario (and its trace) in this process for
+        # its lifetime.
+        _SCENARIO_CACHE.clear()
+
+
 def run_sweep(
     family_names: Optional[Sequence[str]] = None,
     schemes: Optional[Sequence[SchemeConfig]] = None,
@@ -587,29 +644,10 @@ def run_sweep(
     task_stats: Dict[str, Dict[str, float]] = {}
     registry = MetricsRegistry()
     if run_tasks:
-        workers = workers or 1
-        workers = max(1, min(workers, len(run_tasks)))
-        if workers == 1:
-            global _TASK_TRACER
-            _TASK_TRACER = tracer
-            try:
-                outcome = run_serial_supervised(
-                    run_tasks, _execute_task, persist, policy, plan=plan,
-                    tracer=tracer, progress=progress,
-                )
-            finally:
-                _TASK_TRACER = None
-                # The serial path ran in this process: don't pin the last
-                # scenario (and its trace) for the process lifetime.
-                _SCENARIO_CACHE.clear()
-        else:
-            # Tasks keep their grid order on first assignment, so each
-            # spec's cells land contiguously and a worker's per-process
-            # scenario cache stays warm.
-            outcome = run_supervised(
-                run_tasks, _execute_task, persist, policy, plan=plan,
-                workers=workers, tracer=tracer, progress=progress,
-            )
+        outcome = _dispatch(
+            run_tasks, _execute_task, persist, policy, workers or 1,
+            plan=plan, tracer=tracer, progress=progress,
+        )
         # Unwrap: SweepResult.records holds bare RunRecords (exactly what
         # the cache-served path yields), the snapshots merge sweep-wide.
         for digest, payload in outcome.records.items():
@@ -654,3 +692,73 @@ def run_sweep(
         obs=registry.snapshot(),
         task_stats=task_stats,
     )
+
+
+def _simulate_cell(
+    task: SweepTask, baseline_durations: Dict[int, float]
+) -> SimulationResult:
+    """Run one comparison cell to a whole result (picklable via ``partial``)."""
+    scenario, _build_s = _cached_scenario(task.spec)
+    return run_scheme(
+        scenario,
+        task.scheme,
+        seed=task.seed,
+        step_s=task.step_s,
+        sample_interval_s=task.sample_interval_s,
+        baseline_durations=baseline_durations,
+    )
+
+
+def run_comparison(
+    spec: ScenarioSpec,
+    schemes: Sequence[SchemeConfig],
+    config: SweepConfig,
+    workers: Optional[int] = None,
+) -> SchemeComparison:
+    """Every scheme's repetitions over one scenario, as whole results.
+
+    The paper's protocol (Sec. 5.1) behind the figures and ``simulate``:
+    ``config.runs_per_scheme`` runs of every scheme, seeded from
+    ``spec.seed``.  The grid is :func:`expand_tasks` over a one-spec
+    family, so its cells carry the same seeds and digests a sweep of that
+    spec would.  The scenario is built, and the no-sleep baseline (the
+    flow durations Fig. 9a compares against) run, once in this process
+    before any worker forks.  Only the cells :func:`plan_collapse` keeps
+    run the kernel; every replica cell gets its representative's result.
+    Execution goes through the supervisor, so a cell that keeps failing
+    raises :class:`~repro.resilience.supervisor.SweepExecutionError`
+    naming it.
+    """
+    if workers is not None and workers <= 0:
+        raise ValueError("workers must be positive")
+    family_ = ScenarioFamily(
+        name=spec.label, description="ad-hoc scheme comparison", base=spec
+    )
+    tasks = expand_tasks([family_], schemes, config)
+    # The family's one spec is ``spec`` itself (its label is the family
+    # name), so pooled workers fork with the scenario already cached.
+    scenario, _build_s = _cached_scenario(spec)
+    baseline: Dict[int, float] = {}
+    if any(scheme.sleep_enabled for scheme in schemes):
+        baseline = run_scheme(
+            scenario,
+            no_sleep(),
+            seed=spec.seed,
+            step_s=config.step_s,
+            sample_interval_s=config.sample_interval_s,
+        ).flow_durations()
+    replica_of = plan_collapse(tasks)
+    outcome = _dispatch(
+        [task for task in tasks if task.digest not in replica_of],
+        functools.partial(_simulate_cell, baseline_durations=baseline),
+        lambda _result, _attempt: None,
+        RetryPolicy(),
+        workers or 1,
+    )
+    comparison = SchemeComparison(scenario=scenario, runs_per_scheme=config.runs_per_scheme)
+    for task in tasks:
+        source = replica_of.get(task.digest, task)
+        comparison.results.setdefault(task.scheme.name, []).append(
+            outcome.records[source.digest]
+        )
+    return comparison

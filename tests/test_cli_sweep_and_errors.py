@@ -53,6 +53,24 @@ def test_sweep_invalid_numeric_flags_exit_2(capsys, argv, flag):
     assert flag in err and "must be positive" in err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--workers", "0"),
+    ("--workers", "-2"),
+    ("--runs", "0"),
+    ("--step", "0"),
+    ("--hours", "0"),
+    ("--clients", "0"),
+    ("--gateways", "-1"),
+])
+def test_simulate_invalid_numeric_flags_exit_2(capsys, flag, value):
+    argv = ["simulate", "--clients", "6", "--gateways", "3", "--hours", "0.2", flag, value]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{flag} must be positive (got {value}")
+    assert captured.err.count("\n") == 1  # one line, no traceback
+    assert captured.out == ""
+
+
 def test_unknown_command_is_an_argparse_error(capsys):
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])

@@ -23,6 +23,7 @@ from repro.core.schemes import (
 )
 from repro.simulation.reference_kernel import run_scheme_reference
 from repro.simulation.runner import run_scheme
+from repro.simulation.simulator import AccessNetworkSimulator
 from repro.topology.scenario import build_default_scenario
 
 #: Flat diurnal profile keeps the 2-hour scenario busy enough to exercise
@@ -87,7 +88,7 @@ def test_kernel_matches_seed_trajectory(scenario, scheme):
 
 def test_kernel_matches_seed_with_until(scenario):
     reference = run_scheme_reference(scenario, soi(), seed=1, step_s=2.0, until=900.0)
-    result = run_scheme(scenario, soi(), seed=1, step_s=2.0, until=900.0)
+    result = AccessNetworkSimulator(scenario, soi(), step_s=2.0, seed=1).run(until=900.0)
     assert result.duration == reference.duration
     assert np.array_equal(reference.online_gateways, result.online_gateways)
     assert result.mean_savings() == pytest.approx(reference.mean_savings(), abs=1e-9)
@@ -99,6 +100,6 @@ def test_kernel_matches_seed_at_finer_step(scenario):
         reference = run_scheme_reference(
             scenario, scheme, seed=7, step_s=1.0, until=1800.0
         )
-        result = run_scheme(scenario, scheme, seed=7, step_s=1.0, until=1800.0)
+        result = AccessNetworkSimulator(scenario, scheme, step_s=1.0, seed=7).run(until=1800.0)
         assert np.array_equal(reference.online_gateways, result.online_gateways)
         assert result.mean_savings() == pytest.approx(reference.mean_savings(), abs=1e-9)

@@ -1,10 +1,14 @@
-"""Determinism and parallel-runner identity of the experiment layer.
+"""Determinism of run seeds and of the engine's scheme comparison.
 
 The seed derived each run's RNG seed from ``hash(scheme.name)``, which
 varies with ``PYTHONHASHSEED`` — "identical" runs differed across
-processes.  The runner now derives seeds with ``zlib.crc32``
+processes.  Seeds now come from ``zlib.crc32``
 (:func:`repro.simulation.runner.scheme_run_seed`), so repeated runs and
 worker processes agree exactly.
+
+:func:`repro.sweep.engine.run_comparison` runs the figures' scheme ×
+repetition protocol on the supervisor with repetition collapse.  Its
+reference is the plain loop: one ``run_scheme`` per cell, every cell run.
 """
 
 import zlib
@@ -12,27 +16,57 @@ import zlib
 import numpy as np
 import pytest
 
-from repro.core.schemes import bh2_kswitch, no_sleep, soi
-from repro.simulation.runner import (
-    ExperimentRunner,
-    ParallelExperimentRunner,
-    scheme_run_seed,
-)
-from repro.topology.scenario import build_default_scenario
+from repro.core.schemes import bh2_kswitch, no_sleep, optimal, soi
+from repro.resilience.supervisor import SweepExecutionError
+from repro.simulation.runner import run_scheme, scheme_run_seed
+from repro.sweep import engine
+from repro.sweep.catalog import ScenarioSpec
+from repro.sweep.engine import SweepConfig, run_comparison
 
 FLAT_PROFILE = tuple([1.0] * 24)
 
+#: Half an hour of a busy flat-profile day, so every scheme serves flows.
+SPEC = ScenarioSpec(
+    label="busy",
+    num_clients=40,
+    num_gateways=8,
+    duration_s=1800.0,
+    seed=5,
+    trace_overrides=(
+        ("diurnal_profile", FLAT_PROFILE),
+        ("peak_online_probability", 0.5),
+    ),
+)
+CONFIG = SweepConfig(runs_per_scheme=3, step_s=2.0)
+SCHEMES = [no_sleep(), soi(), bh2_kswitch(), optimal()]
+
+
+def _reference(spec, schemes, config):
+    """Every cell run by plain ``run_scheme``, nothing collapsed."""
+    scenario = spec.build()
+    baseline = run_scheme(
+        scenario, no_sleep(), seed=spec.seed, step_s=config.step_s,
+        sample_interval_s=config.sample_interval_s,
+    ).flow_durations()
+    return {
+        scheme.name: [
+            run_scheme(
+                scenario,
+                scheme,
+                seed=scheme_run_seed(spec.seed, run_index, scheme.name),
+                step_s=config.step_s,
+                sample_interval_s=config.sample_interval_s,
+                baseline_durations=baseline,
+            )
+            for run_index in range(config.runs_per_scheme)
+        ]
+        for scheme in schemes
+    }
+
 
 @pytest.fixture(scope="module")
-def scenario():
-    return build_default_scenario(
-        seed=5,
-        num_clients=40,
-        num_gateways=8,
-        duration=1800.0,
-        diurnal_profile=FLAT_PROFILE,
-        peak_online_probability=0.5,
-    )
+def reference():
+    return _reference(SPEC, SCHEMES, CONFIG)
 
 
 def test_scheme_run_seed_is_hash_seed_independent():
@@ -42,46 +76,83 @@ def test_scheme_run_seed_is_hash_seed_independent():
     assert scheme_run_seed(0, 0, "a") != scheme_run_seed(0, 0, "b")
 
 
-def test_repeated_runs_are_identical(scenario):
+@pytest.mark.parametrize("workers", [1, 2])
+def test_comparison_matches_per_cell_reference(reference, workers):
+    """Serial and pooled comparisons equal running every cell, cell by cell."""
+    comparison = run_comparison(SPEC, SCHEMES, CONFIG, workers=workers)
+    assert comparison.scheme_names == [scheme.name for scheme in SCHEMES]
+    assert comparison.runs_per_scheme == CONFIG.runs_per_scheme
+    assert any(run.flow_records for run in reference["SoI"])
+    for name, expected_runs in reference.items():
+        runs = comparison.results[name]
+        assert len(runs) == len(expected_runs)
+        for run, expected in zip(runs, expected_runs):
+            assert np.array_equal(run.online_gateways, expected.online_gateways)
+            assert np.array_equal(run.online_line_cards, expected.online_line_cards)
+            assert np.array_equal(run.energy_series_total_j, expected.energy_series_total_j)
+            assert np.array_equal(run.energy_series_isp_j, expected.energy_series_isp_j)
+            assert run.gateway_online_seconds == expected.gateway_online_seconds
+            assert run.flow_records == expected.flow_records
+
+
+def _count_kernel_runs(monkeypatch):
+    """Record (scheme name, seed) of every kernel run the engine makes."""
+    calls = []
+    real = engine.run_scheme
+
+    def counting(scenario, scheme, **kwargs):
+        calls.append((scheme.name, kwargs["seed"]))
+        return real(scenario, scheme, **kwargs)
+
+    monkeypatch.setattr(engine, "run_scheme", counting)
+    return calls
+
+
+def test_bh2_repetitions_are_distinct_kernel_runs(monkeypatch):
+    calls = _count_kernel_runs(monkeypatch)
+    comparison = run_comparison(SPEC, [bh2_kswitch()], CONFIG, workers=1)
+    name = bh2_kswitch().name
+    seeds = [seed for scheme, seed in calls if scheme == name]
+    assert seeds == [scheme_run_seed(SPEC.seed, i, name) for i in range(3)]
+    assert len(set(seeds)) == 3
+    runs = comparison.results[name]
+    assert len({id(run) for run in runs}) == 3
+
+
+def test_comparison_collapses_seed_free_repetitions(monkeypatch):
+    """[no-sleep, SoI, BH2+k-switch] x 3 = 1 baseline + 1 + 1 + 3 kernel runs."""
+    calls = _count_kernel_runs(monkeypatch)
     schemes = [no_sleep(), soi(), bh2_kswitch()]
-    first = ExperimentRunner(scenario, runs_per_scheme=2, step_s=2.0, base_seed=3).run(schemes)
-    second = ExperimentRunner(scenario, runs_per_scheme=2, step_s=2.0, base_seed=3).run(schemes)
-    for scheme in schemes:
-        assert first.mean_savings(scheme.name) == second.mean_savings(scheme.name)
-        assert first.mean_online_gateways(scheme.name) == second.mean_online_gateways(scheme.name)
-        for run_a, run_b in zip(first.results[scheme.name], second.results[scheme.name]):
-            assert np.array_equal(run_a.online_gateways, run_b.online_gateways)
+    comparison = run_comparison(SPEC, schemes, CONFIG, workers=1)
+    names = [scheme for scheme, _seed in calls]
+    assert len(calls) == 6
+    assert names.count("no-sleep") == 2  # the baseline plus the no-sleep cell
+    assert names.count("SoI") == 1
+    assert names.count("BH2+k-switch") == 3
+    assert all(len(runs) == 3 for runs in comparison.results.values())
 
 
-def test_parallel_runner_matches_serial_bitwise(scenario):
-    """N workers must reproduce the serial aggregates bit for bit."""
-    schemes = [no_sleep(), soi(), bh2_kswitch()]
-    serial = ExperimentRunner(scenario, runs_per_scheme=2, step_s=2.0, base_seed=7).run(schemes)
-    parallel = ParallelExperimentRunner(
-        scenario, runs_per_scheme=2, step_s=2.0, base_seed=7, workers=2
-    ).run(schemes)
-    assert parallel.scheme_names == serial.scheme_names
-    for scheme in schemes:
-        name = scheme.name
-        assert parallel.mean_savings(name) == serial.mean_savings(name)
-        assert parallel.mean_online_gateways(name) == serial.mean_online_gateways(name)
-        assert parallel.mean_online_line_cards(name) == serial.mean_online_line_cards(name)
-        for run_s, run_p in zip(serial.results[name], parallel.results[name]):
-            assert np.array_equal(run_s.online_gateways, run_p.online_gateways)
-            assert np.array_equal(run_s.energy_series_total_j, run_p.energy_series_total_j)
-            assert run_s.flow_durations() == run_p.flow_durations()
-
-
-def test_parallel_runner_validates_workers(scenario):
+def test_comparison_validates_workers():
     with pytest.raises(ValueError):
-        ParallelExperimentRunner(scenario, workers=0)
+        run_comparison(SPEC, [soi()], CONFIG, workers=0)
 
 
-def test_parallel_runner_single_worker_inline(scenario):
-    """workers=1 avoids the pool entirely but still matches the serial run."""
-    schemes = [soi()]
-    serial = ExperimentRunner(scenario, runs_per_scheme=1, step_s=2.0, base_seed=1).run(schemes)
-    inline = ParallelExperimentRunner(
-        scenario, runs_per_scheme=1, step_s=2.0, base_seed=1, workers=1
-    ).run(schemes)
-    assert inline.mean_savings("SoI") == serial.mean_savings("SoI")
+@pytest.mark.parametrize("workers", [1, 2])
+def test_kernel_failure_names_the_cell(monkeypatch, workers):
+    """A cell that keeps failing surfaces as SweepExecutionError naming it."""
+    real = engine.run_scheme
+
+    def failing(scenario, scheme, **kwargs):
+        if scheme.name == "SoI":
+            raise RuntimeError("kernel exploded")
+        return real(scenario, scheme, **kwargs)
+
+    monkeypatch.setattr(engine, "run_scheme", failing)
+    with pytest.raises(SweepExecutionError) as excinfo:
+        run_comparison(
+            SPEC, [no_sleep(), soi()], SweepConfig(runs_per_scheme=2, step_s=2.0),
+            workers=workers,
+        )
+    assert [failure.cell for failure in excinfo.value.failures] == ["busy/busy/SoI#0"]
+    assert "busy/busy/SoI#0" in str(excinfo.value)
+    assert "kernel exploded" in excinfo.value.failures[0].reason

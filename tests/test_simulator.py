@@ -14,32 +14,38 @@ from repro.simulation.metrics import (
     online_time_variation_cdf,
     summarize_savings,
 )
-from repro.simulation.runner import ExperimentRunner, run_scheme
 from repro.simulation.simulator import AccessNetworkSimulator
-from repro.topology.scenario import build_default_scenario
+from repro.sweep.catalog import ScenarioSpec
+from repro.sweep.engine import SweepConfig, run_comparison
 
 #: A small, busy scenario (flat diurnal profile) so that aggregation effects
 #: show up within a 2-hour simulation.
 FLAT_PROFILE = tuple([1.0] * 24)
+BUSY = ScenarioSpec(
+    label="busy",
+    num_clients=60,
+    num_gateways=12,
+    duration_s=2 * 3600.0,
+    seed=13,
+    trace_overrides=(
+        ("diurnal_profile", FLAT_PROFILE),
+        ("peak_online_probability", 0.4),
+    ),
+)
 
 
 @pytest.fixture(scope="module")
 def busy_scenario():
-    return build_default_scenario(
-        seed=13,
-        num_clients=60,
-        num_gateways=12,
-        duration=2 * 3600.0,
-        diurnal_profile=FLAT_PROFILE,
-        peak_online_probability=0.4,
-    )
+    return BUSY.build()
 
 
 @pytest.fixture(scope="module")
-def results(busy_scenario):
-    runner = ExperimentRunner(busy_scenario, runs_per_scheme=1, step_s=2.0, base_seed=3)
-    comparison = runner.run([no_sleep(), soi(), soi_kswitch(), bh2_kswitch(), optimal()])
-    return comparison
+def results():
+    return run_comparison(
+        BUSY,
+        [no_sleep(), soi(), soi_kswitch(), bh2_kswitch(), optimal()],
+        SweepConfig(runs_per_scheme=1, step_s=2.0),
+    )
 
 
 def test_no_sleep_has_zero_savings(results):
@@ -169,7 +175,8 @@ def test_summarize_savings_keys(results):
 
 
 def test_run_scheme_until_cuts_horizon(busy_scenario):
-    result = run_scheme(busy_scenario, soi(), step_s=2.0, until=600.0)
+    """A horizon short of the trace's end stops the run there."""
+    result = AccessNetworkSimulator(busy_scenario, soi(), step_s=2.0).run(until=600.0)
     assert result.duration == pytest.approx(600.0)
     assert result.sample_times[-1] <= 600.0 + 1e-6
 
@@ -178,10 +185,3 @@ def test_simulator_validation(busy_scenario):
     with pytest.raises(ValueError):
         AccessNetworkSimulator(busy_scenario, soi(), step_s=0.0)
 
-
-def test_runner_baseline_durations_cached(busy_scenario):
-    runner = ExperimentRunner(busy_scenario, runs_per_scheme=1, step_s=2.0)
-    first = runner.baseline_durations()
-    second = runner.baseline_durations()
-    assert first is second
-    assert len(first) > 0
