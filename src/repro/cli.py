@@ -290,18 +290,12 @@ def _add_regress_parser(subparsers) -> None:
     check = regress_sub.add_parser(
         "check",
         help="diff a fresh run against the committed baselines (gate)",
-        description="Exit 0 when every cell is identical / within "
-        "tolerance / improved / new; exit 1 naming the offending cells "
-        "when any metric regressed, a committed cell went missing, or a "
-        "committed Pareto-front member fell off the front.",
+        description="Exit 0 when every cell is identical / improved / "
+        "new; exit 1 naming the offending cells when any metric regressed, "
+        "a committed cell went missing, or a committed Pareto-front member "
+        "fell off the front.",
     )
     _add_regress_shared(check, default_families)
-    check.add_argument("--perf", type=str, default=None, metavar="BENCH_JSON",
-                       help="also diff this BENCH_perf.json against baselines/perf.json")
-    check.add_argument("--no-families", action="store_true",
-                       help="skip the sweep-family metric checks")
-    check.add_argument("--no-pareto", action="store_true",
-                       help="skip the Pareto-front membership check")
     check.add_argument("--strict", action="store_true",
                        help="treat 'improved' cells as gate failures too "
                        "(forces baselines to be updated in the same PR)")
@@ -310,7 +304,7 @@ def _add_regress_parser(subparsers) -> None:
     check.add_argument("--summary", type=str, default=None, metavar="PATH",
                        help="append a markdown summary here (GITHUB_STEP_SUMMARY)")
     check.add_argument("--verbose", action="store_true",
-                       help="tabulate identical/within-tolerance cells too")
+                       help="tabulate identical cells too")
     check.add_argument("--json", action="store_true",
                        help="print the machine-readable report as JSON")
     check.add_argument("--no-history", action="store_true",
@@ -320,13 +314,10 @@ def _add_regress_parser(subparsers) -> None:
         "update",
         help="re-export the committed baselines from a fresh run",
         description="Run (or resume) the selected families and rewrite "
-        "baselines/<family>.json plus baselines/pareto.json; with --perf, "
-        "also rewrite baselines/perf.json from a BENCH_perf.json.  The "
+        "baselines/<family>.json plus baselines/pareto.json.  The "
         "diff of baselines/ is the reviewable record of the metric change.",
     )
     _add_regress_shared(update, default_families)
-    update.add_argument("--perf", type=str, default=None, metavar="BENCH_JSON",
-                        help="also re-export baselines/perf.json from this file")
 
     pareto = regress_sub.add_parser(
         "pareto",
@@ -444,11 +435,10 @@ def _add_obs_parser(subparsers) -> None:
 
     ingest = obs_sub.add_parser(
         "ingest",
-        help="index sweep stores, traces, bench and history into the warehouse",
+        help="index sweep stores, traces and history into the warehouse",
         description="Ingest any number of sweep stores (manifest + metrics "
-        "+ timings ledger), JSONL traces, BENCH_perf.json payloads and "
-        "regress history ledgers into one SQLite insight warehouse. "
-        "Re-ingesting a source replaces its rows (idempotent); the "
+        "+ timings ledger), JSONL traces and regress history ledgers into "
+        "one SQLite insight warehouse. Re-ingesting a source replaces its rows (idempotent); the "
         "warehouse only ever reads the sources.",
     )
     ingest.add_argument("--db", type=str, default="insight.db", metavar="PATH",
@@ -457,8 +447,6 @@ def _add_obs_parser(subparsers) -> None:
                         help="sweep result store to ingest (repeatable)")
     ingest.add_argument("--trace", action="append", default=None, metavar="PATH",
                         help="JSONL event trace to ingest (repeatable)")
-    ingest.add_argument("--bench", action="append", default=None, metavar="PATH",
-                        help="BENCH_perf.json payload to ingest (repeatable)")
     ingest.add_argument("--history", action="append", default=None, metavar="DIR",
                         help="baselines directory whose history.jsonl to "
                         "ingest (repeatable)")
@@ -1030,6 +1018,7 @@ def _cmd_obs_trace(args) -> int:
     code = _check_positive([
         ("--clients", args.clients), ("--gateways", args.gateways),
         ("--hours", args.hours), ("--step", args.step),
+        ("--max-events", args.max_events),
     ])
     if code is not None:
         return code
@@ -1174,15 +1163,14 @@ def _cmd_obs_ingest(args) -> int:
 
     stores = args.store or []
     traces = args.trace or []
-    benches = args.bench or []
     histories = args.history or []
-    if not (stores or traces or benches or histories):
+    if not (stores or traces or histories):
         print("nothing to ingest: pass at least one --store/--trace/"
-              "--bench/--history", file=sys.stderr)
+              "--history", file=sys.stderr)
         return 2
     sha = args.git_sha if args.git_sha else git_sha()
     accounting: dict = {"db": args.db, "stores": {}, "traces": {},
-                        "bench": {}, "history": {}}
+                        "history": {}}
     with InsightWarehouse(args.db) as warehouse:
         for store_dir in stores:
             try:
@@ -1199,12 +1187,6 @@ def _cmd_obs_ingest(args) -> int:
             except OSError as error:
                 print(f"cannot ingest trace {path!r}: {error}", file=sys.stderr)
                 return 2
-        for path in benches:
-            try:
-                accounting["bench"][path] = warehouse.ingest_bench(path)
-            except (OSError, ValueError) as error:
-                print(f"cannot ingest bench {path!r}: {error}", file=sys.stderr)
-                return 2
         for baselines_dir in histories:
             accounting["history"][baselines_dir] = warehouse.ingest_history(
                 baselines_dir
@@ -1219,8 +1201,6 @@ def _cmd_obs_ingest(args) -> int:
               f"{result['timings']} timing line(s)")
     for path, events in accounting["traces"].items():
         print(f"ingested trace {path}: {events} event(s)")
-    for path, rows in accounting["bench"].items():
-        print(f"ingested bench {path}: {rows} metric(s)")
     for baselines_dir, rows in accounting["history"].items():
         print(f"ingested history {baselines_dir}: {rows} record(s)")
     print()
@@ -1409,22 +1389,16 @@ def _cmd_obs(args) -> int:
     return handlers[args.obs_command](args)
 
 
-def _load_bench_payload(path: str):
-    """Parse a BENCH_perf.json; ``(payload, None)`` or ``(None, message)``."""
-    try:
-        with open(path) as handle:
-            return json.load(handle), None
-    except (OSError, ValueError) as error:
-        return None, f"cannot read --perf file {path!r}: {error}"
-
-
 def _cmd_regress(args) -> int:
     from repro.regress import runner as regress_runner
     from repro.sweep import ResultStore, SweepConfig
 
     if args.regress_command == "history":
+        code = _check_positive([("--last", args.last)])
+        if code is not None:
+            return code
         records = regress_runner.load_history(args.baselines)
-        if args.last is not None and args.last > 0:
+        if args.last is not None:
             records = records[-args.last:]
         if args.json:
             print(json.dumps(records, indent=1, sort_keys=True))
@@ -1445,20 +1419,11 @@ def _cmd_regress(args) -> int:
             families, config, ResultStore(args.out), workers=args.workers
         )
 
-    bench_payload = None
-    if getattr(args, "perf", None):
-        bench_payload, perf_error = _load_bench_payload(args.perf)
-        if perf_error is not None:
-            print(perf_error, file=sys.stderr)
-            return 2
-
     if args.regress_command == "update":
         result = sweep()
         written = regress_runner.update_baselines(
             result, families, args.baselines, config
         )
-        if bench_payload is not None:
-            written.append(regress_runner.update_perf(bench_payload, args.baselines))
         for path in written:
             print(f"wrote {path}")
         print(f"\ncommit the baselines/ diff to adopt the new values "
@@ -1486,32 +1451,17 @@ def _cmd_regress(args) -> int:
     # check
     from repro.regress.compare import RegressReport
 
-    if args.no_families and args.no_pareto and not args.perf:
-        print("nothing to check: --no-families --no-pareto and no --perf",
-              file=sys.stderr)
-        return 2
     report_ = RegressReport(strict=args.strict)
-    result = None
-    if not (args.no_families and args.no_pareto):
-        result = sweep()
-        if not args.no_families:
-            report_.baselines.extend(families)
-            report_.extend(regress_runner.check_families(
-                result, families, args.baselines, config
-            ))
-        if not args.no_pareto:
-            report_.baselines.append(regress_runner.PARETO_BASELINE_NAME)
-            report_.extend(regress_runner.check_pareto(
-                result, families, args.baselines
-            ))
-    if bench_payload is not None:
-        report_.baselines.append("perf")
-        report_.extend(regress_runner.check_perf(bench_payload, args.baselines))
+    result = sweep()
+    report_.baselines.extend(families)
+    report_.extend(regress_runner.check_families(
+        result, families, args.baselines, config
+    ))
+    report_.baselines.append(regress_runner.PARETO_BASELINE_NAME)
+    report_.extend(regress_runner.check_pareto(result, families, args.baselines))
     if not args.no_history:
         regress_runner.append_history(
-            regress_runner.history_record(
-                report_, result, [] if args.no_families else families
-            ),
+            regress_runner.history_record(report_, result, families),
             args.baselines,
         )
     if args.report:
@@ -1522,9 +1472,7 @@ def _cmd_regress(args) -> int:
         )
     if args.summary:
         with open(args.summary, "a") as handle:
-            handle.write(regress_runner.render_markdown_summary(
-                report_, bench_payload=bench_payload
-            ))
+            handle.write(regress_runner.render_markdown_summary(report_))
     if args.json:
         print(json.dumps(report_.to_payload(), indent=1, sort_keys=True))
     else:
@@ -1549,6 +1497,11 @@ def _cmd_fleet(args) -> int:
                 file=sys.stderr,
             )
             return 2
+        code = _check_positive([
+            ("--gateways", args.gateways), ("--hours", args.hours),
+        ])
+        if code is not None:
+            return code
         timeline = build_churn(
             args.churn,
             num_gateways=args.gateways,
@@ -1622,6 +1575,9 @@ def _cmd_figure(args) -> int:
 
 
 def _cmd_crosstalk(args) -> int:
+    code = _check_positive([("--sequences", args.sequences)])
+    if code is not None:
+        return code
     data = figures.figure14(num_sequences=args.sequences, seed=args.seed)
     rows = []
     for label, curve in data.items():

@@ -20,9 +20,9 @@ Three pillars, all opt-in and all observation-only:
 On top of the substrate sit the insight layers:
 
 - :class:`~repro.obs.insight.InsightWarehouse` — a SQLite index over any
-  number of sweep stores, traces, bench payloads and regress history
-  ledgers (``obs ingest`` / ``obs query``), with cross-sha drift
-  detection (``obs drift``) that feeds advisory rows back into the
+  number of sweep stores, traces and regress history ledgers
+  (``obs ingest`` / ``obs query``), with cross-sha drift detection
+  (``obs drift``) that feeds advisory rows back into the
   ``regress history`` ledger.
 - :class:`~repro.obs.progress.SweepDashboard` — a live terminal view of
   a running sweep (``sweep --watch`` / ``obs top``) fed by the

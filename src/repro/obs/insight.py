@@ -3,10 +3,10 @@
 ``obs ingest`` folds the advisory ledgers every sweep store already
 keeps — ``manifest.jsonl`` (one row per cached run record, metrics read
 from the record files), ``timings.jsonl`` (one row per
-executed-and-persisted attempt) — plus optional JSONL trace files,
-``BENCH_perf.json`` payloads and ``baselines/history.jsonl`` ledgers
-into one queryable schema, keyed by run digest and git sha.  Ingest is
-idempotent per source path: re-ingesting a store replaces its rows.
+executed-and-persisted attempt) — plus optional JSONL trace files and
+``baselines/history.jsonl`` ledgers into one queryable schema, keyed by
+run digest and git sha.  Ingest is idempotent per source path:
+re-ingesting a store replaces its rows.
 
 ``obs query`` filters the run table; ``obs drift`` compares the *same
 digest* across sources ingested at different shas — metrics are expected
@@ -76,13 +76,6 @@ CREATE TABLE IF NOT EXISTS trace_events(
   count INTEGER,
   total_dur REAL
 );
-CREATE TABLE IF NOT EXISTS bench(
-  source_id INTEGER NOT NULL,
-  git_sha TEXT,
-  block TEXT,
-  metric TEXT,
-  value REAL
-);
 CREATE TABLE IF NOT EXISTS history(
   source_id INTEGER NOT NULL,
   timestamp TEXT,
@@ -140,7 +133,7 @@ class InsightWarehouse:
             "UPDATE sources SET git_sha = ?, ingested_at = ? WHERE id = ?",
             (git_sha, now, source_id),
         )
-        for table in ("runs", "timings", "trace_events", "bench", "history"):
+        for table in ("runs", "timings", "trace_events", "history"):
             self.connection.execute(
                 f"DELETE FROM {table} WHERE source_id = ?", (source_id,)
             )
@@ -233,26 +226,6 @@ class InsightWarehouse:
         self.connection.commit()
         return sum(count for count, _dur in totals.values())
 
-    def ingest_bench(self, path) -> int:
-        """Flatten a ``BENCH_perf.json`` payload into (block, metric, value)."""
-        payload = json.loads(Path(path).read_text())
-        environment = payload.get("environment") or {}
-        git_sha = environment.get("git_sha")
-        source_id = self._source(path, "bench", git_sha)
-        rows = 0
-        for block_name, block in payload.items():
-            if not isinstance(block, dict):
-                continue
-            for metric, value in _numeric_leaves(block):
-                self.connection.execute(
-                    "INSERT INTO bench(source_id, git_sha, block, metric, value) "
-                    "VALUES(?, ?, ?, ?, ?)",
-                    (source_id, git_sha, block_name, metric, float(value)),
-                )
-                rows += 1
-        self.connection.commit()
-        return rows
-
     def ingest_history(self, baselines_dir) -> int:
         """Index a ``baselines/history.jsonl`` gate-trajectory ledger."""
         from repro.regress.runner import history_path, load_history
@@ -329,7 +302,7 @@ class InsightWarehouse:
                 f"SELECT COUNT(*) FROM {table}"
             ).fetchone()[0])
             for table in ("sources", "runs", "timings", "trace_events",
-                          "bench", "history")
+                          "history")
         }
 
     # -- drift ------------------------------------------------------------
@@ -427,18 +400,6 @@ class InsightWarehouse:
         for finding in findings:
             finding.pop("severity")
         return findings
-
-
-def _numeric_leaves(block: dict, prefix: str = ""):
-    """Flattened ``(dotted-name, number)`` leaves of a payload block."""
-    for key, value in block.items():
-        name = f"{prefix}{key}"
-        if isinstance(value, bool):
-            continue
-        if isinstance(value, (int, float)):
-            yield name, value
-        elif isinstance(value, dict):
-            yield from _numeric_leaves(value, f"{name}.")
 
 
 def _changed_metrics(baseline_json: str, other_json: str) -> List[str]:

@@ -144,7 +144,7 @@ def kernel_snapshot(result, wall_s: Optional[float] = None) -> Dict[str, dict]:
         if steps:
             registry.observe("kernel.steps_per_s", steps / wall_s)
             # Simulated hours delivered per wall-clock second: the
-            # headline throughput number of the perf benchmark.
+            # kernel throughput perfbench reports per layer.
             registry.observe(
                 "kernel.sim_hours_per_s", result.duration / 3600.0 / wall_s
             )

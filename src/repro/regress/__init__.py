@@ -7,15 +7,13 @@ watt-aware schemes (PR 4) the repo produces dozens of scheme × scenario
 metric series.  This package *defends* them:
 
 * :mod:`repro.regress.baseline` — a committed, human-reviewable baseline
-  format (``baselines/<name>.json``, one file per scenario family plus a
-  perf file derived from ``BENCH_perf.json``): exact-valued entries for
-  the metrics the engine guarantees bit-identical, toleranced entries for
-  timings and other machine-dependent aggregates.
+  format (``baselines/<name>.json``, one file per scenario family):
+  exact-valued entries for the metrics the engine guarantees
+  bit-identical.
 * :mod:`repro.regress.compare` — the comparison engine: diff a fresh
-  sweep/bench run against baselines and classify every (cell, metric)
-  as ``identical`` / ``within-tolerance`` / ``regressed`` / ``improved``
-  / ``new`` / ``missing``, with a machine-readable report and a non-zero
-  exit on regression.
+  sweep against baselines and classify every (cell, metric) as
+  ``identical`` / ``regressed`` / ``improved`` / ``new`` / ``missing``,
+  with a machine-readable report and a non-zero exit on regression.
 * :mod:`repro.regress.pareto` — cross-family Pareto fronts
   (``mean_savings_percent`` vs. peak online gateways, and the watt
   frontier ``gateway_kwh`` vs. served demand from
@@ -32,7 +30,6 @@ from repro.regress.baseline import (
     BASELINE_SCHEMA_VERSION,
     DEFAULT_BASELINES_DIR,
     DEFAULT_REGRESS_FAMILIES,
-    PERF_BASELINE_NAME,
     Baseline,
     MetricEntry,
     baseline_from_aggregates,
@@ -40,8 +37,6 @@ from repro.regress.baseline import (
     cells_from_aggregates,
     load_baseline,
     metric_policy,
-    perf_baseline_from_bench,
-    perf_cells_from_bench,
     save_baseline,
 )
 from repro.regress.compare import (
@@ -66,7 +61,6 @@ __all__ = [
     "BASELINE_SCHEMA_VERSION",
     "DEFAULT_BASELINES_DIR",
     "DEFAULT_REGRESS_FAMILIES",
-    "PERF_BASELINE_NAME",
     "Baseline",
     "MetricEntry",
     "baseline_from_aggregates",
@@ -74,8 +68,6 @@ __all__ = [
     "cells_from_aggregates",
     "load_baseline",
     "metric_policy",
-    "perf_baseline_from_bench",
-    "perf_cells_from_bench",
     "save_baseline",
     "GATING_STATUSES",
     "Diff",

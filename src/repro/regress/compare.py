@@ -3,10 +3,9 @@
 Every (cell, metric) pair diffs to one status:
 
 * ``identical`` — exactly the committed value;
-* ``within-tolerance`` — inside a toleranced entry's band;
-* ``improved`` — outside the claim, but in the metric's good direction
+* ``improved`` — a different value, but in the metric's good direction
   (passes; ``regress update`` adopts it into the committed baseline);
-* ``regressed`` — outside the claim in the bad (or an unknown)
+* ``regressed`` — a different value in the bad (or an unknown)
   direction: the gate fails and names the offending cell;
 * ``new`` — present in the run, absent from the baseline (passes);
 * ``missing`` — committed in the baseline but absent from the run: a
@@ -30,7 +29,6 @@ GATING_STATUSES = frozenset({"regressed", "missing", "config-mismatch"})
 #: Every status a diff can carry, in report order.
 ALL_STATUSES = (
     "identical",
-    "within-tolerance",
     "improved",
     "regressed",
     "new",
@@ -83,8 +81,6 @@ def classify(entry: MetricEntry, observed: float) -> str:
     """The status of one observed value against its baseline entry."""
     if observed == entry.value:
         return "identical"
-    if entry.kind == "tolerance" and abs(observed - entry.value) <= entry.band():
-        return "within-tolerance"
     if entry.direction == "higher":
         return "improved" if observed > entry.value else "regressed"
     if entry.direction == "lower":
@@ -144,16 +140,12 @@ def compare_cells(
 
 
 def _regression_detail(entry: MetricEntry, observed: float) -> str:
-    if entry.kind == "exact":
-        claim = "exact baseline"
-    else:
-        claim = f"tolerance band ±{entry.band():g}"
     direction = {
         "higher": "higher is better",
         "lower": "lower is better",
         "none": "any change regresses",
     }[entry.direction]
-    return f"moved {observed - entry.value:+g} outside the {claim} ({direction})"
+    return f"moved {observed - entry.value:+g} outside the exact baseline ({direction})"
 
 
 def compare_config(baseline: Baseline, config: Mapping[str, object]) -> List[Diff]:

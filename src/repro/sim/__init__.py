@@ -6,13 +6,12 @@ model: an :class:`Environment` drives generator-based processes that yield
 :class:`Timeout` and :class:`Event` objects.
 
 The engine is deliberately minimal but complete enough for the access-network
-simulations in :mod:`repro.simulation`: processes, timeouts, one-shot events,
-interrupts, shared resources and monitored state variables.
+simulations in :mod:`repro.simulation`: processes, timeouts, one-shot events
+and interrupts.
 """
 
 from repro.sim.engine import Environment, Event, Interrupt, SimulationError, Timeout
 from repro.sim.process import Process
-from repro.sim.resources import Container, Resource, Store
 
 __all__ = [
     "Environment",
@@ -21,7 +20,4 @@ __all__ = [
     "Process",
     "Interrupt",
     "SimulationError",
-    "Resource",
-    "Container",
-    "Store",
 ]

@@ -5,17 +5,13 @@ shipped in the seed tree: one Python loop over gateways per step for
 serving, state stepping, energy charging and sampling, a per-step rebuild
 of the flow-to-gateway map, and the O(n^2) water-filling allocator.
 
-It exists for two reasons:
+It exists as an oracle: ``tests/test_kernel_equivalence.py`` asserts
+that the vectorized kernel in :mod:`repro.simulation.simulator`
+reproduces the seed trajectory (same savings, same online-gateway
+samples, same flow records) for every scheme.
 
-* the equivalence tests assert that the vectorized kernel in
-  :mod:`repro.simulation.simulator` reproduces the seed trajectory
-  (same savings, same online-gateway samples, same flow records), and
-* the perf benchmark (``benchmarks/test_bench_perf_kernel.py``) measures
-  the speedup of the new kernel against this one and records it in
-  ``BENCH_perf.json``.
-
-Do not "optimise" this module: its value is being slow in exactly the way
-the seed was.
+Do not "optimise" this module: its value is behaving exactly the way the
+seed did.
 """
 
 from __future__ import annotations

@@ -46,11 +46,19 @@ def test_sweep_unknown_scheme_exits_2_with_message(capsys):
     (["sweep", "--family", "smoke", "--step", "0"], "--step"),
     (["sweep", "--family", "smoke", "--sample", "-1"], "--sample"),
     (["sweep", "--family", "smoke", "--workers", "0"], "--workers"),
+    (["obs", "trace", "--max-events", "0"], "--max-events"),
+    (["fleet", "--churn", "midday-dropout", "--gateways", "0"], "--gateways"),
+    (["fleet", "--churn", "midday-dropout", "--hours", "0"], "--hours"),
+    (["crosstalk", "--sequences", "0"], "--sequences"),
+    (["regress", "history", "--last", "0"], "--last"),
+    (["regress", "history", "--last", "-3"], "--last"),
 ])
 def test_sweep_invalid_numeric_flags_exit_2(capsys, argv, flag):
     assert main(argv) == 2
-    err = capsys.readouterr().err
-    assert flag in err and "must be positive" in err
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"{flag} must be positive")
+    assert captured.err.count("\n") == 1  # one line, no traceback
+    assert captured.out == ""
 
 
 @pytest.mark.parametrize("flag, value", [

@@ -10,6 +10,7 @@ import shutil
 
 import pytest
 
+from repro.cli import main
 from repro.core.schemes import no_sleep, soi, standard_schemes
 from repro.obs import SimTracer
 from repro.obs.explain import explain_run, render_waterfall
@@ -117,28 +118,44 @@ def test_warehouse_ingest_matches_manifest_and_is_idempotent(tmp_path):
         assert len(by_digest) == 1
 
 
-def test_warehouse_ingests_traces_bench_and_history(tmp_path):
+def test_warehouse_ingests_traces_and_history(tmp_path):
     tracer = SimTracer()
     tracer.event("bh2.round", 1.0)
     tracer.event("bh2.round", 2.0)
     tracer.span("task.run", 1.0, 2.0, clock="wall")
     trace_path = tmp_path / "trace.jsonl"
     tracer.write_jsonl(trace_path)
-    bench_path = tmp_path / "BENCH_perf.json"
-    bench_path.write_text(json.dumps({
-        "environment": {"git_sha": "zzz999", "python": "3.12"},
-        "aggregate": {"speedup": 5.0, "kernel_s": 1.2},
-    }))
     append_history(advisory_record("PASS", {"smoke": 5}, {"checked": 5}),
                    str(tmp_path / "baselines"))
     with InsightWarehouse(tmp_path / "insight.db") as warehouse:
         assert warehouse.ingest_trace(trace_path) == 3
-        assert warehouse.ingest_bench(bench_path) == 2
         assert warehouse.ingest_history(tmp_path / "baselines") == 1
         counts = warehouse.counts()
     # Trace events aggregate per (name, clock): two rows, three events.
     assert counts["trace_events"] == 2
-    assert counts["bench"] == 2 and counts["history"] == 1
+    assert counts["history"] == 1
+
+
+def test_obs_ingest_cli_prints_accounting(tmp_path, capsys):
+    store = ResultStore(tmp_path / "store")
+    run_sweep(families=[TINY], schemes=SCHEMES, config=CONFIG, store=store,
+              workers=1)
+    tracer = SimTracer()
+    tracer.event("bh2.round", 1.0)
+    trace_path = tmp_path / "trace.jsonl"
+    tracer.write_jsonl(trace_path)
+    baselines = tmp_path / "baselines"
+    append_history(advisory_record("PASS", {"smoke": 5}, {"checked": 5}),
+                   str(baselines))
+    code = main(["obs", "ingest", "--db", str(tmp_path / "insight.db"),
+                 "--store", str(store.root), "--trace", str(trace_path),
+                 "--history", str(baselines), "--git-sha", "abc123"])
+    out = capsys.readouterr().out
+    assert code == 0
+    runs = len(store.manifest())
+    assert f"ingested store {store.root}: {runs} run(s)" in out
+    assert f"ingested trace {trace_path}: 1 event(s)" in out
+    assert f"ingested history {baselines}: 1 record(s)" in out
 
 
 # ----------------------------------------------------------------------

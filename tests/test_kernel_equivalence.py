@@ -4,23 +4,17 @@ The event-aware kernel in :mod:`repro.simulation.simulator` is designed to
 reproduce the seed per-step trajectory exactly — same transitions at the
 same grid instants, same RNG draws, bit-identical flow service — so these
 tests compare it against the verbatim seed copy in
-:mod:`repro.simulation.reference_kernel` on a small but busy scenario and
-require exact agreement on the device-state samples and tight float
-agreement on the aggregate metrics.
+:mod:`repro.simulation.reference_kernel` for every named scheme, on a
+small but busy scenario and on a full diurnal day, and require exact
+agreement on the device-state samples and tight float agreement on the
+aggregate metrics.
 """
 
 import numpy as np
 import pytest
 
-from repro.core.schemes import (
-    bh2_kswitch,
-    bh2_no_backup_kswitch,
-    no_sleep,
-    optimal,
-    soi,
-    soi_full_switch,
-    soi_kswitch,
-)
+from repro.analysis import figures
+from repro.core.schemes import all_schemes, soi
 from repro.simulation.reference_kernel import run_scheme_reference
 from repro.simulation.runner import run_scheme
 from repro.simulation.simulator import AccessNetworkSimulator
@@ -43,15 +37,7 @@ def scenario():
     )
 
 
-SCHEMES = [
-    no_sleep(),
-    soi(),
-    soi_kswitch(),
-    soi_full_switch(),
-    bh2_kswitch(),
-    bh2_no_backup_kswitch(),
-    optimal(),
-]
+SCHEMES = list(all_schemes().values())
 
 
 @pytest.mark.parametrize("scheme", SCHEMES, ids=[s.name for s in SCHEMES])
@@ -95,11 +81,29 @@ def test_kernel_matches_seed_with_until(scenario):
 
 
 def test_kernel_matches_seed_at_finer_step(scenario):
-    """The stretched stepper must stay on the seed grid at step 1 s too."""
-    for scheme in (soi(), bh2_kswitch()):
+    """The stretched stepper must stay on the seed grid at step 1 s too,
+    the paper protocol's step, for every scheme."""
+    for scheme in SCHEMES:
         reference = run_scheme_reference(
             scenario, scheme, seed=7, step_s=1.0, until=1800.0
         )
         result = AccessNetworkSimulator(scenario, scheme, step_s=1.0, seed=7).run(until=1800.0)
         assert np.array_equal(reference.online_gateways, result.online_gateways)
         assert result.mean_savings() == pytest.approx(reference.mean_savings(), abs=1e-9)
+
+
+@pytest.fixture(scope="module")
+def day_scenario():
+    """A full 24 h day under the default diurnal profile."""
+    scale = figures.EvaluationScale(
+        num_clients=40, num_gateways=8, duration_s=24 * 3600.0, step_s=2.0, seed=11
+    )
+    return figures.build_scenario(scale)
+
+
+@pytest.mark.parametrize("scheme", SCHEMES, ids=[s.name for s in SCHEMES])
+def test_kernel_matches_seed_over_a_diurnal_day(day_scenario, scheme):
+    reference = run_scheme_reference(day_scenario, scheme, seed=2, step_s=2.0)
+    result = run_scheme(day_scenario, scheme, seed=2, step_s=2.0)
+    assert np.array_equal(reference.online_gateways, result.online_gateways)
+    assert result.mean_savings() == pytest.approx(reference.mean_savings(), abs=1e-9)

@@ -10,8 +10,6 @@ from repro.regress.baseline import (
     Baseline,
     MetricEntry,
     metric_direction,
-    perf_baseline_from_bench,
-    perf_cells_from_bench,
 )
 from repro.regress.compare import classify, compare_cells, compare_config
 from repro.regress.pareto import (
@@ -27,53 +25,37 @@ from repro.wattopt.front import WATT_FRONT, watt_front_rows
 # Classification
 # ----------------------------------------------------------------------
 def test_exact_entry_identical_and_regressed():
-    entry = MetricEntry(value=10.0, kind="exact", direction="higher")
+    entry = MetricEntry(value=10.0, direction="higher")
     assert classify(entry, 10.0) == "identical"
     assert classify(entry, 9.0) == "regressed"
     assert classify(entry, 11.0) == "improved"
 
 
 def test_exact_entry_lower_is_better():
-    entry = MetricEntry(value=5.0, kind="exact", direction="lower")
+    entry = MetricEntry(value=5.0, direction="lower")
     assert classify(entry, 4.0) == "improved"
     assert classify(entry, 6.0) == "regressed"
 
 
 def test_exact_entry_no_direction_any_change_regresses():
-    entry = MetricEntry(value=5.0, kind="exact", direction="none")
+    entry = MetricEntry(value=5.0, direction="none")
     assert classify(entry, 5.0) == "identical"
     assert classify(entry, 4.0) == "regressed"
     assert classify(entry, 6.0) == "regressed"
 
 
-def test_tolerance_entry_band_and_escape():
-    entry = MetricEntry(
-        value=100.0, kind="tolerance", rel_tol=0.10, direction="higher"
-    )
-    assert classify(entry, 100.0) == "identical"
-    assert classify(entry, 95.0) == "within-tolerance"
-    assert classify(entry, 110.0) == "within-tolerance"
-    assert classify(entry, 89.0) == "regressed"
-    assert classify(entry, 111.0) == "improved"
-
-
-def test_tolerance_band_uses_max_of_rel_and_abs():
-    entry = MetricEntry(
-        value=0.0, kind="tolerance", rel_tol=0.5, abs_tol=1e-6, direction="lower"
-    )
-    # rel_tol * |0.0| = 0, so the absolute floor is the band.
-    assert entry.band() == 1e-6
-    assert classify(entry, 5e-7) == "within-tolerance"
-    assert classify(entry, 2e-6) == "regressed"
-
-
 def test_metric_entry_validation():
     with pytest.raises(ValueError):
-        MetricEntry(value=1.0, kind="fuzzy")
-    with pytest.raises(ValueError):
         MetricEntry(value=1.0, direction="sideways")
+    # Every baseline entry is an exact claim; the loader rejects any other.
+    for kind in ("fuzzy", "tolerance"):
+        with pytest.raises(ValueError):
+            MetricEntry.from_payload({"value": 1.0, "kind": kind})
+    # A baseline file holds one sweep family; other file kinds are rejected.
+    payload = json.loads(Baseline(name="test").to_json())
+    assert payload["kind"] == "sweep-family"
     with pytest.raises(ValueError):
-        MetricEntry(value=1.0, kind="tolerance", rel_tol=-0.1)
+        Baseline.from_json(json.dumps({**payload, "kind": "perf"}))
 
 
 def test_metric_direction_policy():
@@ -122,8 +104,7 @@ def test_compare_config_mismatch_gates():
 def test_baseline_json_round_trip():
     baseline = _baseline({
         "a|x": {
-            "m": MetricEntry(value=1.25, kind="tolerance", rel_tol=0.1,
-                             direction="higher"),
+            "m": MetricEntry(value=1.25, direction="higher"),
             "n": MetricEntry(value=-3.0),
         },
     })
@@ -223,62 +204,6 @@ def test_watt_front_rows_marks_non_dominated():
     annotated = {row["point"]: row["on_front"] for row in watt_front_rows(rows)}
     assert annotated == {"f|s|watt": True, "f|s|count": False}
     assert WATT_FRONT.x_goal == "min" and WATT_FRONT.y_goal == "max"
-
-
-# ----------------------------------------------------------------------
-# Perf baselines
-# ----------------------------------------------------------------------
-def _bench_payload(speedup=5.0):
-    return {
-        "schema_version": 1,
-        "benchmark": {"num_clients": 136},
-        "aggregate": {
-            "seed_kernel_s": 50.0, "kernel_s": 10.0,
-            "speedup": speedup, "sim_hours_per_second": 30.0,
-        },
-        "per_scheme": {
-            "SoI": {
-                "seed_kernel_s": 2.5, "kernel_s": 0.5, "speedup": 5.0,
-                "sim_hours_per_second": 48.0, "steps_seed": 100,
-                "steps_kernel": 80, "flows_served": 1000,
-                "mean_savings": 0.34, "mean_online_gateways": 9.6,
-                "savings_delta_vs_seed": 0.0,
-                "online_gateways_delta_vs_seed": 0.0,
-            },
-        },
-    }
-
-
-def test_perf_baseline_kinds():
-    baseline = perf_baseline_from_bench(_bench_payload())
-    aggregate = baseline.cells["aggregate"]
-    assert aggregate["speedup"].kind == "tolerance"
-    assert aggregate["speedup"].direction == "higher"
-    scheme = baseline.cells["per_scheme:SoI"]
-    # Step counts / flows / savings are deterministic: exact entries.
-    assert scheme["steps_kernel"].kind == "exact"
-    assert scheme["flows_served"].kind == "exact"
-    assert scheme["mean_savings"].kind == "exact"
-    # The bit-identity deltas restate the bench's 1e-6 bound.
-    assert scheme["savings_delta_vs_seed"].kind == "tolerance"
-    assert scheme["savings_delta_vs_seed"].abs_tol == 1e-6
-    # Raw wall-clock seconds are not baselined at all.
-    assert "kernel_s" not in aggregate and "kernel_s" not in scheme
-
-
-def test_perf_check_catches_speedup_collapse():
-    baseline = perf_baseline_from_bench(_bench_payload(speedup=5.0))
-    slow = perf_cells_from_bench(_bench_payload(speedup=1.5))
-    statuses = {
-        (d.cell, d.metric): d.status for d in compare_cells(baseline, slow)
-    }
-    assert statuses[("aggregate", "speedup")] == "regressed"
-    # A slower-but-within-band run passes.
-    ok = perf_cells_from_bench(_bench_payload(speedup=3.0))
-    statuses = {
-        (d.cell, d.metric): d.status for d in compare_cells(baseline, ok)
-    }
-    assert statuses[("aggregate", "speedup")] == "within-tolerance"
 
 
 # ----------------------------------------------------------------------
@@ -393,43 +318,6 @@ def test_pareto_command_prints_and_exports(regress_dirs, capsys, tmp_path):
     payload = json.loads(export.read_text())
     assert payload["families"] == ["smoke"]
     assert set(payload["fronts"]) == {"savings-vs-peak-online", "watt-energy-vs-served"}
-
-
-def test_perf_round_trip_via_cli(tmp_path, capsys):
-    bench = tmp_path / "BENCH_perf.json"
-    bench.write_text(json.dumps(_bench_payload(speedup=5.0)))
-    baselines = str(tmp_path / "baselines")
-    code = main(["regress", "update", "--baselines", baselines,
-                 "--family", "smoke", "--step", "10",
-                 "--out", str(tmp_path / "store"), "--perf", str(bench)])
-    assert code == 0
-    capsys.readouterr()
-    # Perf-only check: clean against its own source.
-    code = main(["regress", "check", "--baselines", baselines,
-                 "--no-families", "--no-pareto", "--perf", str(bench)])
-    assert code == 0
-    capsys.readouterr()
-    # A collapsed speedup gates and names the aggregate cell.
-    bench.write_text(json.dumps(_bench_payload(speedup=1.2)))
-    code = main(["regress", "check", "--baselines", baselines,
-                 "--no-families", "--no-pareto", "--perf", str(bench)])
-    assert code == 1
-    assert "perf:aggregate:speedup" in capsys.readouterr().out
-
-
-def test_check_nothing_to_do_is_usage_error(capsys):
-    code = main(["regress", "check", "--no-families", "--no-pareto"])
-    assert code == 2
-    assert "nothing to check" in capsys.readouterr().err
-
-
-def test_malformed_perf_file_is_usage_error(tmp_path, capsys):
-    bad = tmp_path / "BENCH_perf.json"
-    bad.write_text("{not json")
-    code = main(["regress", "check", "--no-families", "--no-pareto",
-                 "--perf", str(bad)])
-    assert code == 2
-    assert "cannot read --perf file" in capsys.readouterr().err
 
 
 def test_summary_markdown_appends(regress_dirs, tmp_path, capsys):

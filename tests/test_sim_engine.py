@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import Container, Environment, Interrupt, Resource, SimulationError, Store
+from repro.sim import Environment, Interrupt, SimulationError
 
 
 def test_environment_starts_at_zero():
@@ -255,69 +255,3 @@ def test_step_on_empty_queue_raises():
     env = Environment()
     with pytest.raises(SimulationError):
         env.step()
-
-
-def test_resource_limits_concurrency():
-    env = Environment()
-    log = []
-
-    def user(env, resource, name):
-        request = resource.request()
-        yield request
-        log.append((env.now, name, "acquired"))
-        yield env.timeout(5.0)
-        resource.release(request)
-
-    resource = Resource(env, capacity=1)
-    env.process(user(env, resource, "first"))
-    env.process(user(env, resource, "second"))
-    env.run()
-    acquired = [(t, n) for t, n, _ in log]
-    assert acquired == [(0.0, "first"), (5.0, "second")]
-
-
-def test_resource_capacity_validation():
-    env = Environment()
-    with pytest.raises(ValueError):
-        Resource(env, capacity=0)
-
-
-def test_container_put_and_get():
-    env = Environment()
-    container = Container(env, capacity=10.0, init=0.0)
-    log = []
-
-    def producer(env, container):
-        yield env.timeout(2.0)
-        yield container.put(5.0)
-
-    def consumer(env, container):
-        amount = yield container.get(3.0)
-        log.append((env.now, amount))
-
-    env.process(consumer(env, container))
-    env.process(producer(env, container))
-    env.run()
-    assert log == [(2.0, 3.0)]
-    assert container.level == pytest.approx(2.0)
-
-
-def test_store_fifo_order():
-    env = Environment()
-    store = Store(env)
-    received = []
-
-    def producer(env, store):
-        for item in ["a", "b", "c"]:
-            yield store.put(item)
-            yield env.timeout(1.0)
-
-    def consumer(env, store):
-        for _ in range(3):
-            item = yield store.get()
-            received.append(item)
-
-    env.process(producer(env, store))
-    env.process(consumer(env, store))
-    env.run()
-    assert received == ["a", "b", "c"]
