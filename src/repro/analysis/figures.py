@@ -30,6 +30,7 @@ from repro.simulation.metrics import (
     completion_time_variation_cdf,
     fraction_of_flows_affected,
     online_time_variation_cdf,
+    peak_window,
 )
 from repro.simulation.runner import SchemeComparison, run_scheme
 from repro.sweep.catalog import ScenarioSpec
@@ -41,10 +42,6 @@ from repro.traces.models import WirelessTrace
 from repro.traces.synthetic import generate_crawdad_like_trace
 from repro.testbed.deployment import TestbedConfig
 from repro.testbed.replay import TestbedReplay
-
-#: Peak window (11:00-19:00) used by the paper's peak-hour statistics.
-PEAK_WINDOW = (11 * 3600.0, 19 * 3600.0)
-
 
 @dataclass(frozen=True)
 class EvaluationScale:
@@ -215,10 +212,12 @@ def figure8(comparison: SchemeComparison) -> Dict[str, Dict[str, List[float]]]:
     return series
 
 
-def table_online_cards(comparison: SchemeComparison, peak: Tuple[float, float] = PEAK_WINDOW) -> Dict[str, float]:
+def table_online_cards(comparison: SchemeComparison) -> Dict[str, float]:
     """Sec. 5.2.3 table: average number of online line cards during peak hours."""
     return {
-        name: comparison.mean_online_line_cards(name, *peak)
+        name: comparison.mean_online_line_cards(
+            name, *peak_window(comparison.first(name).duration)
+        )
         for name in comparison.scheme_names
     }
 
@@ -256,7 +255,6 @@ def figure9b(comparison: SchemeComparison, reference_scheme: str = "SoI") -> Dic
 def figure10(
     densities: Sequence[float] = (1, 2, 3, 4, 5, 6, 7, 8, 9, 10),
     scale: Optional[EvaluationScale] = None,
-    peak: Tuple[float, float] = PEAK_WINDOW,
 ) -> Dict[str, List[float]]:
     """Fig. 10: mean online gateways at peak vs. mean available gateways per user."""
     scale = scale or quick_scale()
@@ -270,8 +268,7 @@ def figure10(
             step_s=scale.step_s,
             sample_interval_s=scale.sample_interval_s,
         )
-        window = peak if scale.duration_s > peak[0] else (0.0, scale.duration_s)
-        online.append(result.mean_online_gateways(*window))
+        online.append(result.mean_online_gateways(*peak_window(scale.duration_s)))
     return {"mean_available_gateways": [float(d) for d in densities], "online_gateways": online}
 
 

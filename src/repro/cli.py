@@ -10,7 +10,6 @@ Commands
 ``sweep gc``   trim the sweep result store (dry run by default)
 ``regress``    check/update committed metric baselines and Pareto fronts
 ``obs``        trace a run, summarise sweep timings, export Perfetto traces
-``wattopt``    count-vs-watt objective gap of the watt-aware schemes
 ``fleet``      inspect gateway generations, fleet mixes and churn patterns
 ``figure``     regenerate the data behind one of the paper's figures
 ``crosstalk``  run the Fig. 14 crosstalk speedup experiment
@@ -21,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 from typing import List, Optional
@@ -552,41 +552,6 @@ def _add_schemes_parser(subparsers) -> None:
                         help="print the scheme table as JSON")
 
 
-def _add_wattopt_parser(subparsers) -> None:
-    parser = subparsers.add_parser(
-        "wattopt",
-        help="count-vs-watt objective gap of the watt-aware schemes",
-        description="Run (or resume from the result store) the watt-aware "
-        "schemes beside their count-minimising twins over the selected "
-        "scenario families and print the gateway energy each spent plus "
-        "the watts_saved_vs_count_kwh gap per scenario.",
-    )
-    parser.add_argument(
-        "--family",
-        action="append",
-        default=None,
-        metavar="NAME",
-        help="scenario family to include (repeatable; default: watt-aware)",
-    )
-    parser.add_argument("--runs", type=int, default=1, help="repetitions per scheme")
-    parser.add_argument("--step", type=float, default=2.0, help="simulation step (s)")
-    parser.add_argument("--sample", type=float, default=60.0, help="metric sampling interval (s)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="shard the grid over this many processes")
-    parser.add_argument(
-        "--out",
-        type=str,
-        default="sweep-results",
-        metavar="DIR",
-        help="result-store directory shared with 'sweep' (default: ./sweep-results)",
-    )
-    parser.add_argument("--json", action="store_true",
-                        help="print the gap rows as JSON instead of tables")
-    parser.add_argument("--front", action="store_true",
-                        help="also print the watt Pareto front "
-                        "(gateway kWh vs. served demand)")
-
-
 def _add_fleet_parser(subparsers) -> None:
     parser = subparsers.add_parser(
         "fleet",
@@ -643,7 +608,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sweep_parser(subparsers)
     _add_regress_parser(subparsers)
     _add_obs_parser(subparsers)
-    _add_wattopt_parser(subparsers)
     _add_fleet_parser(subparsers)
     _add_figure_parser(subparsers)
     _add_crosstalk_parser(subparsers)
@@ -653,6 +617,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 # ----------------------------------------------------------------------
 def _cmd_trace(args) -> int:
+    code = _check_positive([
+        ("--clients", args.clients), ("--gateways", args.gateways), ("--hours", args.hours),
+    ])
+    if code is not None:
+        return code
     trace = generate_crawdad_like_trace(
         seed=args.seed,
         num_clients=args.clients,
@@ -688,6 +657,31 @@ def _check_positive(flags) -> Optional[int]:
     return None
 
 
+def _check_dslam_ports(gateways: int) -> Optional[int]:
+    """Exit code 2 after a one-line message when the gateways outnumber the DSLAM ports."""
+    from repro.sweep.catalog import ScenarioSpec
+
+    spec = ScenarioSpec()
+    ports = spec.num_line_cards * spec.ports_per_card
+    if gateways > ports:
+        print(f"--gateways must be at most {ports}, the DSLAM port count (got {gateways})",
+              file=sys.stderr)
+        return 2
+    return None
+
+
+def _check_store_dir(flag: str, path: str) -> Optional[int]:
+    """Exit code 2 after a one-line message unless ``path`` is a directory.
+
+    Commands that only read a result store must not create one.
+    """
+    if not os.path.isdir(path):
+        print(f"{flag} must be an existing result store directory (got {path!r})",
+              file=sys.stderr)
+        return 2
+    return None
+
+
 def _resolve_schemes(spec: str):
     """Comma-separated scheme names -> configs; None after printing an error."""
     known = all_schemes()
@@ -703,7 +697,7 @@ def _cmd_simulate(args) -> int:
         ("--clients", args.clients), ("--gateways", args.gateways),
         ("--hours", args.hours), ("--runs", args.runs), ("--step", args.step),
         ("--workers", args.workers),
-    ])
+    ]) or _check_dslam_ports(args.gateways)
     if code is not None:
         return code
     scale = figures.EvaluationScale(
@@ -776,6 +770,9 @@ def _cmd_sweep_gc(args) -> int:
         print(f"--tmp-grace must be non-negative (got {args.tmp_grace})",
               file=sys.stderr)
         return 2
+    code = _check_store_dir("--out", args.out)
+    if code is not None:
+        return code
     store = ResultStore(args.out)
     gc_kwargs = {}
     if args.tmp_grace is not None:
@@ -814,7 +811,7 @@ def _cmd_sweep_gc(args) -> int:
 
 
 def _validate_sweep_args(args, selected_families) -> Optional[int]:
-    """Shared sweep/wattopt flag validation; an exit code, or None when OK."""
+    """Shared sweep/regress flag validation; an exit code, or None when OK."""
     from repro.sweep import family_names
 
     known = family_names()
@@ -827,69 +824,6 @@ def _validate_sweep_args(args, selected_families) -> Optional[int]:
         ("--runs", args.runs), ("--step", args.step), ("--sample", args.sample),
         ("--workers", args.workers),
     ])
-
-
-def _cmd_wattopt(args) -> int:
-    from repro.core.schemes import watt_schemes
-    from repro.sweep import (
-        ResultStore,
-        SweepConfig,
-        generation_table,
-        run_sweep,
-        watt_gap_rows,
-        watt_gap_table,
-    )
-
-    selected = args.family or ["watt-aware"]
-    error = _validate_sweep_args(args, selected)
-    if error is not None:
-        return error
-    result = run_sweep(
-        family_names=selected,
-        schemes=watt_schemes(),
-        config=SweepConfig(
-            runs_per_scheme=args.runs, step_s=args.step, sample_interval_s=args.sample
-        ),
-        store=ResultStore(args.out),
-        workers=args.workers,
-    )
-    if args.json:
-        print(json.dumps(watt_gap_rows(result), indent=1))
-        return 0
-    gaps = watt_gap_table(result)
-    if gaps:
-        print("== count-vs-watt objective gap per scenario ==")
-        print(gaps)
-    else:
-        print("no watt-aware scheme pairs in the selected families")
-    generations = generation_table(result)
-    if generations:
-        print()
-        print("== per-generation gateway energy ==")
-        print(generations)
-    if args.front:
-        from repro.wattopt.front import watt_front_rows
-
-        rows = watt_front_rows(result.aggregates())
-        print()
-        print("== watt Pareto front (min gateway kWh, max served demand) ==")
-        if rows:
-            print(report.format_table(
-                ["point", "gateway kWh", "served GB", "status"],
-                [
-                    [
-                        row["point"], row["gateway_kwh"], row["served_demand_gb"],
-                        "front" if row["on_front"] else "dominated",
-                    ]
-                    for row in rows
-                ],
-                precision=4,
-            ))
-        else:
-            print("(no rows carry gateway_kwh + served_demand_gb; "
-                  "refresh old records via 'repro-access sweep --no-resume')")
-    print(f"\nresult store: {args.out}")
-    return 0
 
 
 def _cmd_sweep(args) -> int:
@@ -1019,7 +953,7 @@ def _cmd_obs_trace(args) -> int:
         ("--clients", args.clients), ("--gateways", args.gateways),
         ("--hours", args.hours), ("--step", args.step),
         ("--max-events", args.max_events),
-    ])
+    ]) or _check_dslam_ports(args.gateways)
     if code is not None:
         return code
     scale = figures.EvaluationScale(
@@ -1059,6 +993,9 @@ def _cmd_obs_summary(args) -> int:
     from repro.obs.insight import percentile
     from repro.sweep import ResultStore
 
+    code = _check_store_dir("--out", args.out)
+    if code is not None:
+        return code
     store = ResultStore(args.out)
     entries = store.read_timings()
     by_family = getattr(args, "by", "scheme") == "family"
@@ -1168,6 +1105,10 @@ def _cmd_obs_ingest(args) -> int:
         print("nothing to ingest: pass at least one --store/--trace/"
               "--history", file=sys.stderr)
         return 2
+    for store_dir in stores:
+        code = _check_store_dir("--store", store_dir)
+        if code is not None:
+            return code
     sha = args.git_sha if args.git_sha else git_sha()
     accounting: dict = {"db": args.db, "stores": {}, "traces": {},
                         "history": {}}
@@ -1359,6 +1300,9 @@ def _cmd_obs_top(args) -> int:
         print(f"--interval must be positive (got {args.interval})",
               file=sys.stderr)
         return 2
+    code = _check_store_dir("--out", args.out)
+    if code is not None:
+        return code
     store = ResultStore(args.out)
     if args.once:
         print(render_store_top(store))
@@ -1610,7 +1554,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "sweep": _cmd_sweep,
         "regress": _cmd_regress,
         "obs": _cmd_obs,
-        "wattopt": _cmd_wattopt,
         "fleet": _cmd_fleet,
         "figure": _cmd_figure,
         "crosstalk": _cmd_crosstalk,

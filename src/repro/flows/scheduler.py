@@ -457,15 +457,6 @@ class FlowScheduler:
             min(self._gw_completion.values()) if self._gw_completion else inf
         )
 
-    def min_completion_instant(self, now: float, online_gateways: Set[int]) -> float:
-        """Earliest instant any flow can complete at the current rates.
-
-        Analytic estimate, accurate to float rounding; callers must keep a
-        :data:`_COMPLETION_MARGIN_S` safety margin around it.
-        """
-        self.ensure_rates(now, online_gateways)
-        return self._next_completion
-
     def stretch_completion_bound(self, now: float, online_gateways: Set[int], sleep_guard_s: float) -> float:
         """Earliest instant a flow completion becomes a *stepper* event.
 

@@ -16,10 +16,9 @@ metric series.  This package *defends* them:
   with a machine-readable report and a non-zero exit on regression.
 * :mod:`repro.regress.pareto` — cross-family Pareto fronts
   (``mean_savings_percent`` vs. peak online gateways, and the watt
-  frontier ``gateway_kwh`` vs. served demand from
-  :mod:`repro.wattopt.front`); front membership is recorded in the
-  baselines so a scheme *falling off the front* is itself a detectable
-  regression.
+  frontier ``gateway_kwh`` vs. served demand); front membership is
+  recorded in the baselines so a scheme *falling off the front* is
+  itself a detectable regression.
 
 Entry point: ``repro-access regress check|update|pareto``; the CI gate
 job runs ``check`` on every PR against the committed smoke-scale
@@ -36,7 +35,6 @@ from repro.regress.baseline import (
     baseline_path,
     cells_from_aggregates,
     load_baseline,
-    metric_policy,
     save_baseline,
 )
 from repro.regress.compare import (
@@ -48,8 +46,8 @@ from repro.regress.compare import (
     compare_config,
 )
 from repro.regress.pareto import (
-    FRONT_SPECS,
     SAVINGS_FRONT,
+    WATT_FRONT,
     FrontSpec,
     compare_fronts,
     front_points,
@@ -67,7 +65,6 @@ __all__ = [
     "baseline_path",
     "cells_from_aggregates",
     "load_baseline",
-    "metric_policy",
     "save_baseline",
     "GATING_STATUSES",
     "Diff",
@@ -75,8 +72,8 @@ __all__ = [
     "classify",
     "compare_cells",
     "compare_config",
-    "FRONT_SPECS",
     "SAVINGS_FRONT",
+    "WATT_FRONT",
     "FrontSpec",
     "compare_fronts",
     "front_points",

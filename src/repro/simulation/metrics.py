@@ -6,6 +6,7 @@
   in per-gateway online time versus the SoI scheme (the fairness metric).
 * :func:`average_timeseries` — average aligned time series across runs, as
   the paper does over its 10 repetitions.
+* :func:`peak_window` — the window of the paper's peak-hour statistics.
 """
 
 from __future__ import annotations
@@ -15,6 +16,14 @@ from typing import Dict, Iterable, List, Sequence, Tuple
 import numpy as np
 
 from repro.simulation.simulator import SimulationResult
+
+#: Peak hours (11:00-19:00) of the paper's peak-hour statistics.
+PEAK_WINDOW = (11 * 3600.0, 19 * 3600.0)
+
+
+def peak_window(duration_s: float) -> Tuple[float, float]:
+    """:data:`PEAK_WINDOW`, or the whole run when it ends by 19:00."""
+    return PEAK_WINDOW if duration_s > PEAK_WINDOW[1] else (0.0, duration_s)
 
 
 def cdf(values: Sequence[float]) -> Tuple[np.ndarray, np.ndarray]:
@@ -128,14 +137,14 @@ def summarize_savings(results: Dict[str, SimulationResult]) -> Dict[str, Dict[st
     """Day-average and peak-hour savings summary for a set of scheme results."""
     summary: Dict[str, Dict[str, float]] = {}
     for name, result in results.items():
-        peak_window = (11 * 3600.0, 19 * 3600.0)
+        peak = peak_window(result.duration)
         summary[name] = {
             "mean_savings_percent": 100.0 * result.mean_savings(),
-            "peak_savings_percent": 100.0 * result.mean_savings(*peak_window),
+            "peak_savings_percent": 100.0 * result.mean_savings(*peak),
             "mean_online_gateways": result.mean_online_gateways(),
-            "peak_online_gateways": result.mean_online_gateways(*peak_window),
+            "peak_online_gateways": result.mean_online_gateways(*peak),
             "mean_online_line_cards": result.mean_online_line_cards(),
-            "peak_online_line_cards": result.mean_online_line_cards(*peak_window),
+            "peak_online_line_cards": result.mean_online_line_cards(*peak),
             "isp_share_of_savings_percent": 100.0 * result.mean_isp_share_of_savings(),
         }
     return summary

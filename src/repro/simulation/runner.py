@@ -123,12 +123,6 @@ class SchemeComparison:
             (r.sample_times, r.online_gateways) for r in self.results[scheme_name]
         )
 
-    def online_cards_timeseries(self, scheme_name: str):
-        """Run-averaged online-line-card series of a scheme."""
-        return average_timeseries(
-            (r.sample_times, r.online_line_cards) for r in self.results[scheme_name]
-        )
-
     def isp_share_timeseries(self, scheme_name: str):
         """Run-averaged ISP share of savings series of a scheme (Fig. 8)."""
         return average_timeseries(

@@ -60,6 +60,7 @@ from repro.resilience.supervisor import (
     run_serial_supervised,
     run_supervised,
 )
+from repro.simulation.metrics import peak_window
 from repro.simulation.runner import (
     SchemeComparison,
     run_scheme,
@@ -70,11 +71,6 @@ from repro.simulation.simulator import SimulationResult
 from repro.sweep.catalog import ScenarioFamily, ScenarioSpec, resolve_families
 from repro.sweep.store import ResultStore, RunDigestSeries, RunRecord
 from repro.topology.scenario import Scenario
-
-#: Peak window (11:00-19:00) of the paper's peak-hour statistics; sweeps
-#: over traces too short to contain it fall back to the full duration.
-PEAK_WINDOW = (11 * 3600.0, 19 * 3600.0)
-
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -112,10 +108,7 @@ def run_metrics(result: SimulationResult, duration_s: float) -> Dict[str, float]
     gateway generation (plus the matching ``gen:<generation>_count``), and
     churn scenarios report the flows lost to departures.
     """
-    if duration_s > PEAK_WINDOW[1]:
-        peak = PEAK_WINDOW
-    else:
-        peak = (0.0, duration_s)
+    peak = peak_window(duration_s)
     metrics = {
         "mean_savings_percent": 100.0 * result.mean_savings(),
         "peak_savings_percent": 100.0 * result.mean_savings(*peak),

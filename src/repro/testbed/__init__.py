@@ -5,7 +5,7 @@ The paper validates BH2 on a live three-floor testbed: 9-10 commercial
 about 5.5 gateways but limited to using 3, no backup gateway, and a central
 status server that emulates gateway sleep/wake because the commercial
 gateways have no SoI support.  This package reproduces that deployment as a
-discrete-event simulation built directly on :mod:`repro.sim`, independent
+discrete-event replay on its own small generator scheduler, independent
 of the main simulator, and regenerates Fig. 12 (online APs between 15:00
 and 15:30 under BH2 versus SoI).
 """

@@ -1,22 +1,29 @@
 """Discrete-event replay of the testbed experiment (Fig. 12).
 
-Each terminal is a generator-based process on the :mod:`repro.sim` engine:
-it replays the flows of its assigned traced AP, runs the BH2 decision logic
-every decision period (with no backup gateway, as in the paper's testbed),
-and downloads through whichever gateway it selected — waiting for its home
-gateway to wake up when no remote gateway is usable.  A monitor process
-samples the number of online gateways, producing the Fig. 12 series.
+Each terminal is a generator process that yields the delay to its next
+step, run by the small scheduler :func:`_run_processes`: it replays the
+flows of its assigned traced AP, runs the BH2 decision logic every decision
+period (with no backup gateway, as in the paper's testbed), and downloads
+through whichever gateway it selected — waiting for its home gateway to
+wake up when no remote gateway is usable.  A monitor process samples the
+number of online gateways, producing the Fig. 12 series.
 """
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.sim import Environment
-from repro.testbed.deployment import GatewayStatusServer, TestbedConfig, build_testbed_workload
+from repro.testbed.deployment import (
+    Clock,
+    GatewayStatusServer,
+    TestbedConfig,
+    build_testbed_workload,
+)
 from repro.traces.models import Flow, WirelessTrace
 
 
@@ -39,6 +46,23 @@ class TestbedResult:
         return num_gateways - self.mean_online()
 
 
+def _run_processes(processes: List[Iterator[float]], clock: Clock, until: float) -> None:
+    """Run generator processes, each yielding the delay to its next step.
+
+    Every process starts at time 0, in list order; processes due at the same
+    time resume in the order their delays were scheduled.  Resumptions at or
+    before ``until`` run, then the clock is left at ``until``.
+    """
+    order = itertools.count()
+    queue = [(0.0, next(order), process) for process in processes]
+    while queue and queue[0][0] <= until:
+        clock.now, _order, process = heapq.heappop(queue)
+        delay = next(process, None)
+        if delay is not None:
+            heapq.heappush(queue, (clock.now + delay, next(order), process))
+    clock.now = until
+
+
 class TestbedReplay:
     """Replays the testbed workload under either plain SoI or BH2."""
 
@@ -57,26 +81,27 @@ class TestbedReplay:
     # ------------------------------------------------------------------
     def run(self, use_bh2: bool = True) -> TestbedResult:
         """Run one replay; ``use_bh2=False`` gives the SoI comparison run."""
-        env = Environment()
-        server = GatewayStatusServer(env, self.config)
+        clock = Clock()
+        server = GatewayStatusServer(clock, self.config)
         rng = np.random.default_rng(self.seed)
         samples: List[Tuple[float, int]] = []
         completed = {"count": 0}
         current_gateway: Dict[int, int] = {t: t for t in self.flows}
+        processes = []
 
         for terminal, terminal_flows in self.flows.items():
-            env.process(
+            processes.append(
                 self._terminal_process(
-                    env, server, terminal, terminal_flows, current_gateway, completed
+                    clock, server, terminal, terminal_flows, current_gateway, completed
                 )
             )
             if use_bh2:
                 offset = float(rng.uniform(0, self.config.decision_period_s))
-                env.process(
-                    self._bh2_process(env, server, terminal, offset, current_gateway)
+                processes.append(
+                    self._bh2_process(server, terminal, offset, current_gateway)
                 )
-        env.process(self._monitor_process(env, server, samples))
-        env.run(until=self.config.window_duration_s)
+        processes.append(self._monitor_process(clock, server, samples))
+        _run_processes(processes, clock, self.config.window_duration_s)
 
         return TestbedResult(
             scheme="BH2" if use_bh2 else "SoI",
@@ -93,7 +118,7 @@ class TestbedReplay:
     # ------------------------------------------------------------------
     def _terminal_process(
         self,
-        env: Environment,
+        clock: Clock,
         server: GatewayStatusServer,
         terminal: int,
         flows: List[Flow],
@@ -103,9 +128,9 @@ class TestbedReplay:
         """Replay the terminal's flows as timed HTTP downloads."""
         config = self.config
         for flow in flows:
-            delay = flow.start_time - env.now
+            delay = flow.start_time - clock.now
             if delay > 0:
-                yield env.timeout(delay)
+                yield delay
             gateway = current_gateway[terminal]
             # A terminal can only wake its own home gateway.
             if not server.is_online(gateway):
@@ -114,7 +139,7 @@ class TestbedReplay:
                     gateway = terminal
                 server.request_wake(gateway)
                 while not server.is_online(gateway):
-                    yield env.timeout(1.0)
+                    yield 1.0
             # Serve the download in one-second chunks so the load estimates
             # and the idle timer see a realistic traffic pattern.
             remaining_bits = flow.size_bytes * 8.0
@@ -125,16 +150,15 @@ class TestbedReplay:
                     gateway = terminal
                     server.request_wake(gateway)
                     while not server.is_online(gateway):
-                        yield env.timeout(1.0)
+                        yield 1.0
                 chunk = min(remaining_bits, config.adsl_bps * 1.0)
                 server.report_traffic(gateway, chunk)
                 remaining_bits -= chunk
-                yield env.timeout(1.0)
+                yield 1.0
             completed["count"] += 1
 
     def _bh2_process(
         self,
-        env: Environment,
         server: GatewayStatusServer,
         terminal: int,
         offset: float,
@@ -144,7 +168,7 @@ class TestbedReplay:
         config = self.config
         rng = np.random.default_rng(self.seed * 1000 + terminal)
         if offset > 0:
-            yield env.timeout(offset)
+            yield offset
         while True:
             home = terminal
             current = current_gateway[terminal]
@@ -172,17 +196,17 @@ class TestbedReplay:
                         current_gateway[terminal] = int(rng.choice(remote_candidates, p=probabilities))
                     else:
                         current_gateway[terminal] = home
-            yield env.timeout(config.decision_period_s)
+            yield config.decision_period_s
 
     def _monitor_process(
         self,
-        env: Environment,
+        clock: Clock,
         server: GatewayStatusServer,
         samples: List[Tuple[float, int]],
     ):
         """Sample the number of online gateways at a fixed cadence."""
         interval = self.sample_interval_s
         while True:
-            samples.append((env.now, server.online_count()))
+            samples.append((clock.now, server.online_count()))
             server.accumulate(interval)
-            yield env.timeout(interval)
+            yield interval

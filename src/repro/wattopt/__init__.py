@@ -16,12 +16,12 @@ efficient 5 W one.  This package makes the watts themselves the objective:
 
 Scheme wiring (``optimal-watts``, ``bh2-watts``, …) lives in
 :mod:`repro.core.schemes`; the ``watt-aware`` sweep family and the
-``watts_saved_vs_count_kwh`` report column in :mod:`repro.sweep`; the
-``repro-access wattopt`` subcommand in :mod:`repro.cli`.
+``watts_saved_vs_count_kwh`` report column in :mod:`repro.sweep` (run
+``repro-access sweep --family watt-aware``); the ``watt-energy-vs-served``
+Pareto front in :mod:`repro.regress.pareto`.
 """
 
 from repro.wattopt.cost import WattCostModel, scenario_cost_model
-from repro.wattopt.front import WATT_FRONT, watt_front_rows
 from repro.wattopt.solver import (
     ExactWattAggregationSolver,
     WattGreedyAggregationSolver,
@@ -31,11 +31,9 @@ from repro.wattopt.solver import (
 
 __all__ = [
     "ExactWattAggregationSolver",
-    "WATT_FRONT",
     "WattCostModel",
     "WattGreedyAggregationSolver",
     "count_vs_watt_gap",
     "scenario_cost_model",
-    "watt_front_rows",
     "watt_objective",
 ]

@@ -27,11 +27,12 @@ def test_simulate_unknown_scheme_exits_2_with_message(capsys):
 
 
 def test_sweep_unknown_family_exits_2_with_message(capsys):
-    code = main(["sweep", "--family", "does-not-exist"])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "unknown scenario family" in err
-    assert "paper-default" in err
+    for command in (["sweep"], ["regress", "pareto"]):
+        code = main(command + ["--family", "does-not-exist"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "unknown scenario family" in err
+        assert "paper-default" in err
 
 
 def test_sweep_unknown_scheme_exits_2_with_message(capsys):
@@ -52,13 +53,25 @@ def test_sweep_unknown_scheme_exits_2_with_message(capsys):
     (["crosstalk", "--sequences", "0"], "--sequences"),
     (["regress", "history", "--last", "0"], "--last"),
     (["regress", "history", "--last", "-3"], "--last"),
+    (["trace", "--clients", "0"], "--clients"),
+    (["simulate", "--gateways", "50"], "--gateways must be at most 48"),
+    (["obs", "trace", "--gateways", "49"], "--gateways must be at most 48"),
+    # Read-only store commands must not create a missing store.
+    (["obs", "summary", "--out", "missing"], "--out must be an existing"),
+    (["obs", "top", "--out", "missing", "--once"], "--out must be an existing"),
+    (["sweep", "gc", "--out", "missing"], "--out must be an existing"),
+    (["obs", "ingest", "--store", "missing"], "--store must be an existing"),
 ])
-def test_sweep_invalid_numeric_flags_exit_2(capsys, argv, flag):
+def test_sweep_invalid_numeric_flags_exit_2(capsys, tmp_path, monkeypatch, argv, flag):
+    monkeypatch.chdir(tmp_path)
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.err.startswith(f"{flag} must be positive")
+    # A bare flag names a non-positive value; anything longer is the message.
+    expected = flag if " " in flag else f"{flag} must be positive"
+    assert captured.err.startswith(expected)
     assert captured.err.count("\n") == 1  # one line, no traceback
     assert captured.out == ""
+    assert list(tmp_path.iterdir()) == []  # nothing written
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -80,10 +93,11 @@ def test_simulate_invalid_numeric_flags_exit_2(capsys, flag, value):
 
 
 def test_unknown_command_is_an_argparse_error(capsys):
-    with pytest.raises(SystemExit) as excinfo:
-        main(["frobnicate"])
-    assert excinfo.value.code == 2
-    assert "invalid choice" in capsys.readouterr().err
+    for command in ("frobnicate", "wattopt"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command])
+        assert excinfo.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
 
 
 # ----------------------------------------------------------------------
@@ -120,6 +134,19 @@ def test_sweep_json_output(tmp_path, capsys):
     assert payload["accounting"]["grid_runs"] == 1
     assert payload["aggregates"][0]["family"] == "smoke"
     assert "mean_savings_percent" in payload["runs"][0]["metrics"]
+    assert payload["watt_gaps"] == []
+    # The watt-aware schemes beside their count twins carry the gap rows,
+    # in the JSON payload and (served from the store) in the text report.
+    watt = ["sweep", "--family", "smoke", "--step", "10", "--out", out_dir,
+            "--schemes", "no-sleep,Optimal,optimal-watts,BH2+k-switch,bh2-watts"]
+    assert main(watt + ["--json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["watt_gaps"]
+    assert {row["watt_scheme"] for row in rows} == {"optimal-watts", "bh2-watts"}
+    assert all("watts_saved_vs_count_kwh" in row for row in rows)
+    assert main(watt) == 0
+    text = capsys.readouterr().out
+    assert "count-vs-watt objective gap" in text
+    assert "cache_hit_percent : 100.000" in text
 
 
 # ----------------------------------------------------------------------
@@ -267,6 +294,7 @@ def test_obs_summary_tabulates_ledger(tmp_path, capsys):
 
 
 def test_obs_summary_without_ledger_is_friendly(tmp_path, capsys):
+    (tmp_path / "empty").mkdir()
     assert main(["obs", "summary", "--out", str(tmp_path / "empty")]) == 0
     assert "no timing ledger" in capsys.readouterr().out
 

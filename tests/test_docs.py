@@ -67,3 +67,11 @@ def test_architecture_doc_names_every_package():
         if f"repro.{name}" not in text:
             missing.append(f"repro.{name}")
     assert not missing, f"docs/architecture.md does not mention: {missing}"
+    # ... and names no package that has been deleted.
+    source = REPO / "src" / "repro"
+    stale = sorted(
+        f"repro.{name}"
+        for name in set(re.findall(r"\brepro\.(\w+)", text))
+        if not (source / name / "__init__.py").is_file() and not (source / f"{name}.py").is_file()
+    )
+    assert not stale, f"docs/architecture.md names missing packages: {stale}"

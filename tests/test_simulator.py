@@ -172,6 +172,12 @@ def test_summarize_savings_keys(results):
     summary = summarize_savings({name: results.first(name) for name in results.scheme_names})
     assert set(summary) == set(results.scheme_names)
     assert "mean_savings_percent" in summary["SoI"]
+    # The 2 h run ends before the 11:00-19:00 peak window, so the peak
+    # columns fall back to the whole run.
+    for row in summary.values():
+        for column in ("savings_percent", "online_gateways", "online_line_cards"):
+            assert row[f"peak_{column}"] == row[f"mean_{column}"]
+    assert summary["no-sleep"]["peak_online_gateways"] > 0
 
 
 def test_run_scheme_until_cuts_horizon(busy_scenario):

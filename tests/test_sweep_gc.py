@@ -157,7 +157,7 @@ def test_tmp_files_do_not_break_manifest_staleness_check(store):
 
 
 # ----------------------------------------------------------------------
-# CLI: sweep gc / schemes / wattopt
+# CLI: sweep gc / schemes
 # ----------------------------------------------------------------------
 def test_cli_sweep_gc_dry_run_then_apply(tmp_path, capsys):
     store = ResultStore(tmp_path / "store")
@@ -213,22 +213,3 @@ def test_cli_schemes_json(capsys):
     assert by_name["optimal-watts"]["watt_aware"] is True
     assert by_name["Optimal"]["watt_aware"] is False
     assert by_name["bh2-watts"]["aggregation"] == "bh2"
-
-
-def test_cli_wattopt_smoke_family(tmp_path, capsys):
-    out_dir = str(tmp_path / "store")
-    assert main(["wattopt", "--family", "smoke", "--out", out_dir]) == 0
-    out = capsys.readouterr().out
-    assert "watts_saved_vs_count_kwh" in out
-    assert "optimal-watts" in out
-    # Same invocation again: everything served from the store.
-    assert main(["wattopt", "--family", "smoke", "--out", out_dir, "--json"]) == 0
-    rows = json.loads(capsys.readouterr().out)
-    assert {row["watt_scheme"] for row in rows} == {"optimal-watts", "bh2-watts"}
-    for row in rows:
-        assert "watts_saved_vs_count_kwh" in row
-
-
-def test_cli_wattopt_unknown_family_exits_2(capsys):
-    assert main(["wattopt", "--family", "nope"]) == 2
-    assert "unknown scenario family" in capsys.readouterr().err

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.sim import Environment
-from repro.testbed.deployment import GatewayStatusServer, TestbedConfig, build_testbed_workload
+from repro.testbed.deployment import (
+    Clock,
+    GatewayStatusServer,
+    TestbedConfig,
+    build_testbed_workload,
+)
 from repro.testbed.replay import TestbedReplay
 from repro.traces.synthetic import generate_crawdad_like_trace
 
@@ -34,32 +38,32 @@ def test_build_workload_shapes(trace):
 
 
 def test_status_server_lifecycle():
-    env = Environment()
+    clock = Clock()
     config = TestbedConfig(idle_timeout_s=60.0, wake_up_time_s=60.0)
-    server = GatewayStatusServer(env, config)
+    server = GatewayStatusServer(clock, config)
     assert server.status(0) == GatewayStatusServer.SLEEPING
     server.request_wake(0)
     assert server.status(0) == GatewayStatusServer.WAKING
-    env._now = 61.0
+    clock.now = 61.0
     assert server.status(0) == GatewayStatusServer.ACTIVE
     server.report_traffic(0, 1e6)
-    env._now = 200.0
+    clock.now = 200.0
     assert server.status(0) == GatewayStatusServer.SLEEPING
 
 
 def test_status_server_rejects_traffic_while_sleeping():
-    env = Environment()
-    server = GatewayStatusServer(env, TestbedConfig())
+    clock = Clock()
+    server = GatewayStatusServer(clock, TestbedConfig())
     with pytest.raises(RuntimeError):
         server.report_traffic(0, 100.0)
 
 
 def test_status_server_load_estimation():
-    env = Environment()
+    clock = Clock()
     config = TestbedConfig(adsl_bps=3e6, load_window_s=60.0)
-    server = GatewayStatusServer(env, config)
+    server = GatewayStatusServer(clock, config)
     server.request_wake(0)
-    env._now = 61.0
+    clock.now = 61.0
     server.report_traffic(0, 0.3 * 3e6 * 60.0)
     assert server.load(0) == pytest.approx(0.3)
 
@@ -83,3 +87,21 @@ def test_replay_records_online_time(trace):
     result = replay.run(use_bh2=False)
     assert set(result.gateway_online_seconds) == set(range(replay.config.num_gateways))
     assert result.completed_flows >= 0
+
+
+def test_replay_pins_fig12_trajectory(trace):
+    # The exact Fig. 12 series of this trace: any change to the scheduler's
+    # event order or the status server's timing shows up here.
+    results = TestbedReplay(trace, seed=2).run_comparison()
+    observed = {
+        name: (result.online_gateways, result.completed_flows, result.mean_online())
+        for name, result in results.items()
+    }
+    bh2 = [0] + [8] * 5 + [7] * 2 + [6] * 4 + [7] * 11 + [6] * 10 + [5] * 3 + [4] * 4
+    bh2 += [5] + [6] * 5 + [7] * 2 + [6] * 5 + [5] * 8
+    soi = [0] + [8] * 35 + [7] * 11 + [6] * 12 + [7, 6]
+    assert observed == {
+        "BH2": (bh2, 2672, pytest.approx(5.9836, abs=1e-4)),
+        "SoI": (soi, 2668, pytest.approx(7.2459, abs=1e-4)),
+    }
+    assert [len(result.sample_times) for result in results.values()] == [61, 61]
