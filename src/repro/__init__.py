@@ -34,7 +34,6 @@ from repro.core.schemes import (
     soi_full_switch,
     soi_kswitch,
     standard_schemes,
-    watt_schemes,
 )
 from repro.power.models import AccessNetworkPowerModel, DEFAULT_POWER_MODEL
 from repro.simulation.runner import SchemeComparison, run_scheme
@@ -63,7 +62,6 @@ __all__ = [
     "optimal",
     "optimal_watts",
     "standard_schemes",
-    "watt_schemes",
     "AccessNetworkPowerModel",
     "DEFAULT_POWER_MODEL",
     "AccessNetworkSimulator",

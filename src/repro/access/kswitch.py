@@ -96,21 +96,6 @@ def expected_sleeping_cards(k: int, m: int, p: float, exact: bool = True) -> flo
     return sum(fn(l, k, m, p) for l in range(1, k + 1))
 
 
-def full_switch_sleeping_cards(num_ports: int, ports_per_card: int, active_lines: int) -> int:
-    """Line cards a *full* switch can power off given ``active_lines`` active lines.
-
-    With full switching capability the active lines are packed onto
-    ``ceil(active/ports_per_card)`` cards, so
-    ``floor((num_ports - active) / ports_per_card)`` cards sleep — the
-    paper's ``⌊n·(1-p)/m⌋`` expression.
-    """
-    if num_ports <= 0 or ports_per_card <= 0:
-        raise ValueError("num_ports and ports_per_card must be positive")
-    if not 0 <= active_lines <= num_ports:
-        raise ValueError("active_lines must lie in [0, num_ports]")
-    return (num_ports - active_lines) // ports_per_card
-
-
 def _validate_lkmp(l: int, k: int, m: int, p: float) -> None:
     if k <= 0 or m <= 0:
         raise ValueError("k and m must be positive")
@@ -181,8 +166,3 @@ class KSwitchBank:
         return KSwitchAssignment(
             line_to_card=line_to_card, cards_with_active_lines=frozenset(cards_active)
         )
-
-    def sleeping_cards(self, active: Dict[int, bool]) -> int:
-        """Number of cards in the batch with no active line after packing."""
-        assignment = self.pack(active)
-        return self.k - len(assignment.cards_with_active_lines)

@@ -70,28 +70,6 @@ class BH2Config:
         if self.decision_period_s <= 0 or self.load_window_s <= 0:
             raise ValueError("periods must be positive")
 
-    def with_backup(self, backup: int) -> "BH2Config":
-        """A copy with a different number of backup gateways."""
-        return BH2Config(
-            low_threshold=self.low_threshold,
-            high_threshold=self.high_threshold,
-            backup=backup,
-            decision_period_s=self.decision_period_s,
-            load_window_s=self.load_window_s,
-            candidate_min_load=self.candidate_min_load,
-        )
-
-    def with_thresholds(self, low: float, high: float) -> "BH2Config":
-        """A copy with different load thresholds (for sensitivity sweeps)."""
-        return BH2Config(
-            low_threshold=low,
-            high_threshold=high,
-            backup=self.backup,
-            decision_period_s=self.decision_period_s,
-            load_window_s=self.load_window_s,
-            candidate_min_load=min(self.candidate_min_load, low) if low > 0 else 0.0,
-        )
-
     def strict_paper_variant(self) -> "BH2Config":
         """The literal Eq.-free reading of Sec. 3.1: candidates need load > low."""
         return BH2Config(

@@ -219,15 +219,6 @@ def standard_schemes() -> List[SchemeConfig]:
     return [no_sleep(), soi(), soi_kswitch(), bh2_kswitch(), optimal()]
 
 
-def watt_schemes() -> List[SchemeConfig]:
-    """The watt-aware schemes beside their count-minimising twins.
-
-    The order pairs each twin with its watt variant so sweep tables read
-    as direct comparisons; ``no-sleep`` anchors the absolute baseline.
-    """
-    return [no_sleep(), optimal(), optimal_watts(), bh2_kswitch(), bh2_watts()]
-
-
 def all_schemes() -> Dict[str, SchemeConfig]:
     """Every named scheme, keyed by name."""
     schemes = [

@@ -9,6 +9,6 @@ the QoS analysis of Fig. 9a.
 """
 
 from repro.flows.flow import ActiveFlow, FlowRecord
-from repro.flows.scheduler import FlowScheduler, max_min_allocation
+from repro.flows.scheduler import FlowScheduler
 
-__all__ = ["ActiveFlow", "FlowRecord", "FlowScheduler", "max_min_allocation"]
+__all__ = ["ActiveFlow", "FlowRecord", "FlowScheduler"]

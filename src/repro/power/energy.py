@@ -5,11 +5,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Tuple
 
-#: Category labels used by the simulator when charging energy.  With a
-#: heterogeneous fleet the user side is split per gateway generation into
-#: ``gateway:<generation>`` categories instead of the single ``gateway``.
-USER_SIDE_CATEGORIES = ("gateway",)
-USER_SIDE_PREFIX = "gateway:"
+#: ISP-side category labels used by the simulator when charging energy.
+#: The user side is charged as ``gateway``, or per generation as
+#: ``gateway:<generation>`` on a heterogeneous fleet.
 ISP_SIDE_CATEGORIES = ("isp_modem", "line_card", "dslam_shelf")
 
 
@@ -25,16 +23,6 @@ class EnergyBreakdown:
         return sum(self.per_category_j.values())
 
     @property
-    def user_side_j(self) -> float:
-        """Energy charged to user-side devices (including the per-generation
-        ``gateway:<generation>`` categories of heterogeneous fleets)."""
-        return sum(
-            joules
-            for category, joules in self.per_category_j.items()
-            if category in USER_SIDE_CATEGORIES or category.startswith(USER_SIDE_PREFIX)
-        )
-
-    @property
     def isp_side_j(self) -> float:
         """Energy charged to ISP-side devices."""
         return sum(self.per_category_j.get(c, 0.0) for c in ISP_SIDE_CATEGORIES)
@@ -43,20 +31,6 @@ class EnergyBreakdown:
     def total_kwh(self) -> float:
         """Total energy in kWh."""
         return self.total_j / 3.6e6
-
-    def savings_vs(self, baseline: "EnergyBreakdown") -> float:
-        """Fractional savings relative to a baseline run."""
-        if baseline.total_j <= 0:
-            raise ValueError("baseline energy must be positive")
-        return 1.0 - self.total_j / baseline.total_j
-
-    def isp_share_of_savings(self, baseline: "EnergyBreakdown") -> float:
-        """Fraction of the total savings that comes from the ISP side (Fig. 8)."""
-        saved_total = baseline.total_j - self.total_j
-        if saved_total <= 0:
-            return 0.0
-        saved_isp = baseline.isp_side_j - self.isp_side_j
-        return max(0.0, saved_isp / saved_total)
 
     def __add__(self, other: "EnergyBreakdown") -> "EnergyBreakdown":
         merged = dict(self.per_category_j)

@@ -118,23 +118,6 @@ class AccessNetworkPowerModel:
             modems_online=num_gateways, line_cards_online=num_line_cards
         )
 
-    def total_power(
-        self,
-        gateways_online: int,
-        modems_online: int,
-        line_cards_online: int,
-        gateways_waking: int = 0,
-        modems_waking: int = 0,
-        line_cards_waking: int = 0,
-    ) -> float:
-        """Instantaneous total power of the access chain (watts)."""
-        return self.user_side_power(gateways_online, gateways_waking) + self.isp_side_power(
-            modems_online=modems_online,
-            line_cards_online=line_cards_online,
-            modems_waking=modems_waking,
-            line_cards_waking=line_cards_waking,
-        )
-
 
 #: The power model with the paper's measured figures.
 DEFAULT_POWER_MODEL = AccessNetworkPowerModel()

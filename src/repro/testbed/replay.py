@@ -41,10 +41,6 @@ class TestbedResult:
         """Average number of online gateways over the replay."""
         return float(np.mean(self.online_gateways)) if self.online_gateways else 0.0
 
-    def mean_sleeping(self, num_gateways: int) -> float:
-        """Average number of sleeping gateways over the replay."""
-        return num_gateways - self.mean_online()
-
 
 def _run_processes(processes: List[Iterator[float]], clock: Clock, until: float) -> None:
     """Run generator processes, each yielding the delay to its next step.

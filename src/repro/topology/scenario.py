@@ -37,10 +37,6 @@ class WirelessParameters:
         if min(self.home_capacity_bps, self.neighbour_capacity_bps, self.backhaul_bps) <= 0:
             raise ValueError("all capacities must be positive")
 
-    def wireless_capacity(self, is_home: bool) -> float:
-        """Capacity of the client↔gateway wireless link."""
-        return self.home_capacity_bps if is_home else self.neighbour_capacity_bps
-
     def scaled(self, factor: float) -> "WirelessParameters":
         """Scale the backhaul capacity (used by the sensitivity analysis)."""
         if factor <= 0:
@@ -144,23 +140,6 @@ class Scenario:
     def num_clients(self) -> int:
         """Number of clients in the scenario."""
         return self.trace.num_clients
-
-    def card_of_gateway(self, gateway_id: int) -> int:
-        """Line card index hosting the gateway's default port."""
-        return self.gateway_port[gateway_id] // self.dslam.ports_per_card
-
-    def with_dslam(self, dslam: DslamConfig) -> "Scenario":
-        """The same scenario with a different DSLAM switching capability."""
-        return Scenario(
-            trace=self.trace,
-            topology=self.topology,
-            wireless=self.wireless,
-            dslam=dslam,
-            gateway_port=dict(self.gateway_port),
-            seed=self.seed,
-            fleet=self.fleet,
-            churn=self.churn,
-        )
 
 
 def random_port_assignment(num_gateways: int, dslam: DslamConfig, seed: int = 0) -> Dict[int, int]:

@@ -9,7 +9,7 @@ inter-packet-gap distribution) together with the analysis utilities used by
 the figures and the simulator.
 """
 
-from repro.traces.models import Flow, Packet, ClientTrace, WirelessTrace, TraceStats
+from repro.traces.models import Flow, ClientTrace, WirelessTrace, TraceStats
 from repro.traces.synthetic import SyntheticTraceConfig, SyntheticTraceGenerator, generate_crawdad_like_trace
 from repro.traces.adsl import AdslPopulationConfig, AdslUtilizationModel, diurnal_profile
 from repro.traces.analysis import (
@@ -21,7 +21,6 @@ from repro.traces.analysis import (
 
 __all__ = [
     "Flow",
-    "Packet",
     "ClientTrace",
     "WirelessTrace",
     "TraceStats",

@@ -115,10 +115,6 @@ class AdslUtilizationModel:
             medians.append(float(np.median(util) * 100.0))
         return averages, medians
 
-    def average_downlink_speed_bps(self) -> float:
-        """Mean plan downlink speed of the population (paper: ~6 Mbps)."""
-        return float(np.mean(self.downlink_plan))
-
     def figure2_data(self) -> Dict[str, List[float]]:
         """All four series of Fig. 2 keyed by name."""
         avg_down, med_down = self.daily_curves("downlink")

@@ -21,19 +21,14 @@ Scheme wiring (``optimal-watts``, ``bh2-watts``, …) lives in
 Pareto front in :mod:`repro.regress.pareto`.
 """
 
-from repro.wattopt.cost import WattCostModel, scenario_cost_model
+from repro.wattopt.cost import WattCostModel
 from repro.wattopt.solver import (
     ExactWattAggregationSolver,
     WattGreedyAggregationSolver,
-    count_vs_watt_gap,
-    watt_objective,
 )
 
 __all__ = [
     "ExactWattAggregationSolver",
     "WattCostModel",
     "WattGreedyAggregationSolver",
-    "count_vs_watt_gap",
-    "scenario_cost_model",
-    "watt_objective",
 ]

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, List, Optional, Tuple
 
-from repro.fleet.profile import FleetProfile, HOMOGENEOUS
+from repro.fleet.profile import FleetProfile
 from repro.power.models import AccessNetworkPowerModel, DEFAULT_POWER_MODEL
 
 
@@ -139,10 +139,6 @@ class WattCostModel:
         """
         return sum(self.marginal_w(g) for g in sorted(online))
 
-    def max_marginal_w(self) -> float:
-        """The costliest single device — the unit of the greedy's gap bound."""
-        return max(self.marginals())
-
     def bias(self) -> List[float]:
         """Per-gateway preference multipliers for BH2 candidate ranking.
 
@@ -154,11 +150,3 @@ class WattCostModel:
         marginals = self.marginals()
         cheapest = min(marginals)
         return [cheapest / m for m in marginals]
-
-
-def scenario_cost_model(
-    scenario, power_model: AccessNetworkPowerModel = DEFAULT_POWER_MODEL
-) -> WattCostModel:
-    """The cost model implied by a scenario's attached fleet profile."""
-    fleet = scenario.fleet if scenario.fleet is not None else HOMOGENEOUS
-    return WattCostModel.from_fleet(fleet, scenario.num_gateways, power_model)

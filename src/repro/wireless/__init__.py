@@ -1,25 +1,11 @@
-"""Wireless substrate: channel capacities, card virtualisation and load estimation.
+"""Wireless substrate: client↔gateway channel capacities.
 
-BH2 relies on three wireless mechanisms (Sec. 3.2 of the paper):
-
-* simultaneous association with every gateway in range through wireless-card
-  virtualisation and 802.11 power-save based TDMA (FatVAP / THEMIS style);
-* estimation of each gateway's backhaul load by counting the MAC sequence
-  numbers of overheard frames;
-* ordinary data transfer through whichever gateway BH2 selected.
-
-This package models those mechanisms at the fidelity the evaluation needs:
-capacities, TDMA time shares and noisy load estimates.
+BH2 relies on wireless-card virtualisation, sequence-number load
+estimation and ordinary data transfer through the selected gateway (Sec.
+3.2 of the paper).  The kernels read exact gateway utilisation, so this
+package models only what they consume: the capacity of each wireless hop.
 """
 
 from repro.wireless.channel import WirelessChannel, WirelessLink
-from repro.wireless.virtualization import TdmaSchedule, VirtualWirelessCard
-from repro.wireless.load_estimation import SequenceNumberLoadEstimator
 
-__all__ = [
-    "WirelessChannel",
-    "WirelessLink",
-    "TdmaSchedule",
-    "VirtualWirelessCard",
-    "SequenceNumberLoadEstimator",
-]
+__all__ = ["WirelessChannel", "WirelessLink"]

@@ -83,15 +83,3 @@ class WirelessChannel:
                 base = base * 10 ** (gain_db / 10.0)
             self._cache[key] = max(self.min_capacity_bps, base)
         return self._cache[key]
-
-    def supports_demand(
-        self, client_id: int, gateway_id: int, is_home: bool, demand_bps: float
-    ) -> bool:
-        """Whether the wireless hop alone can carry ``demand_bps``.
-
-        This is the ``d_i · a_ij ≤ w_ij`` feasibility constraint of the
-        optimisation problem in Sec. 3.1.
-        """
-        if demand_bps < 0:
-            raise ValueError("demand_bps must be non-negative")
-        return demand_bps <= self.capacity(client_id, gateway_id, is_home)

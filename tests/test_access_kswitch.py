@@ -8,7 +8,6 @@ from repro.access.kswitch import (
     card_sleep_probability_exact,
     card_sleep_probability_paper,
     expected_sleeping_cards,
-    full_switch_sleeping_cards,
     simulate_card_sleep_probability,
 )
 
@@ -67,13 +66,6 @@ def test_expected_sleeping_cards_bounds():
     assert 0.0 <= expected <= 4.0
 
 
-def test_full_switch_formula():
-    assert full_switch_sleeping_cards(48, 12, 13) == 2
-    assert full_switch_sleeping_cards(48, 12, 0) == 4
-    with pytest.raises(ValueError):
-        full_switch_sleeping_cards(48, 12, 49)
-
-
 @given(
     k=st.integers(min_value=1, max_value=8),
     m=st.integers(min_value=1, max_value=30),
@@ -104,7 +96,6 @@ def test_kswitch_bank_packs_inactive_lines_low():
     assignment = bank.pack(active)
     # Every switch has exactly one active line, so only the last card hosts active lines.
     assert assignment.cards_with_active_lines == frozenset({3})
-    assert bank.sleeping_cards(active) == 3
 
 
 def test_kswitch_bank_all_active_keeps_all_cards_awake():
@@ -115,7 +106,7 @@ def test_kswitch_bank_all_active_keeps_all_cards_awake():
 
 def test_kswitch_bank_missing_lines_treated_inactive():
     bank = KSwitchBank(k=2, num_ports_per_card=1, line_ids=[0, 1])
-    assert bank.sleeping_cards({}) == 2
+    assert bank.pack({}).cards_with_active_lines == frozenset()
 
 
 def test_kswitch_bank_validation():

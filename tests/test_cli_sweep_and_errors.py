@@ -61,6 +61,9 @@ def test_sweep_unknown_scheme_exits_2_with_message(capsys):
     (["obs", "top", "--out", "missing", "--once"], "--out must be an existing"),
     (["sweep", "gc", "--out", "missing"], "--out must be an existing"),
     (["obs", "ingest", "--store", "missing"], "--store must be an existing"),
+    (["fleet", "--churn", "subscriber-churn", "--clients", "-3"], "--clients"),
+    (["fleet", "--churn", "subscriber-churn", "--clients", "0"], "--clients"),
+    (["obs", "query", "--limit", "-1"], "--limit must be non-negative (got -1)"),
 ])
 def test_sweep_invalid_numeric_flags_exit_2(capsys, tmp_path, monkeypatch, argv, flag):
     monkeypatch.chdir(tmp_path)

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flows.flow import ActiveFlow
-from repro.flows.scheduler import FlowScheduler, max_min_allocation
+from repro.flows.scheduler import FlowScheduler, _max_min_allocation_reference
 from repro.traces.models import Flow
 
 
@@ -17,22 +17,23 @@ def make_active(flow_id=0, client=0, gateway=0, size=750_000, start=0.0, wireles
 
 
 def test_max_min_equal_split():
-    assert max_min_allocation(6e6, [10e6, 10e6]) == [pytest.approx(3e6), pytest.approx(3e6)]
+    allocation = _max_min_allocation_reference(6e6, [10e6, 10e6])
+    assert allocation == [pytest.approx(3e6), pytest.approx(3e6)]
 
 
 def test_max_min_respects_caps():
-    allocation = max_min_allocation(6e6, [1e6, 10e6])
+    allocation = _max_min_allocation_reference(6e6, [1e6, 10e6])
     assert allocation[0] == pytest.approx(1e6)
     assert allocation[1] == pytest.approx(5e6)
 
 
 def test_max_min_empty_and_zero_cases():
-    assert max_min_allocation(6e6, []) == []
-    assert max_min_allocation(0.0, [1e6]) == [0.0]
+    assert _max_min_allocation_reference(6e6, []) == []
+    assert _max_min_allocation_reference(0.0, [1e6]) == [0.0]
     with pytest.raises(ValueError):
-        max_min_allocation(-1.0, [1.0])
+        _max_min_allocation_reference(-1.0, [1.0])
     with pytest.raises(ValueError):
-        max_min_allocation(1.0, [-1.0])
+        _max_min_allocation_reference(1.0, [-1.0])
 
 
 @given(
@@ -41,7 +42,7 @@ def test_max_min_empty_and_zero_cases():
 )
 @settings(max_examples=80, deadline=None)
 def test_max_min_allocation_invariants(capacity, caps):
-    allocation = max_min_allocation(capacity, caps)
+    allocation = _max_min_allocation_reference(capacity, caps)
     assert len(allocation) == len(caps)
     assert all(a >= -1e-9 for a in allocation)
     assert all(a <= c + 1e-6 for a, c in zip(allocation, caps))

@@ -1,7 +1,6 @@
-"""Property tests: the vectorized max-min allocator matches the reference.
+"""Property tests: the scheduler's max-min allocator matches the reference.
 
-The public :func:`max_min_allocation` is a sort-based closed form; the
-seed's O(n²) iterative water-filling is kept as
+The seed's O(n²) iterative water-filling is kept as
 :func:`_max_min_allocation_reference` and used as the oracle on randomized
 capacity/cap sets, including adversarial shapes (duplicates, zeros, huge
 spreads).  The in-simulator shortcut paths of the scheduler must agree with
@@ -15,21 +14,7 @@ from repro.flows.scheduler import (
     FlowScheduler,
     _max_min_allocation_reference,
     _water_fill,
-    max_min_allocation,
 )
-
-
-@given(
-    capacity=st.floats(min_value=0.0, max_value=1e9),
-    caps=st.lists(st.floats(min_value=0.0, max_value=1e9), min_size=0, max_size=24),
-)
-@settings(max_examples=300, deadline=None)
-def test_vectorized_matches_reference(capacity, caps):
-    reference = _max_min_allocation_reference(capacity, caps)
-    vectorized = max_min_allocation(capacity, caps)
-    assert len(vectorized) == len(reference)
-    for fast, slow in zip(vectorized, reference):
-        assert fast == pytest.approx(slow, rel=1e-9, abs=1e-6)
 
 
 @given(
@@ -55,19 +40,17 @@ def test_equal_caps_match_reference_exactly(capacity, cap_value, n):
 
 def test_duplicate_caps_and_ties():
     caps = [2e6, 2e6, 2e6, 8e6, 8e6]
-    reference = _max_min_allocation_reference(6e6, caps)
-    vectorized = max_min_allocation(6e6, caps)
-    for fast, slow in zip(vectorized, reference):
-        assert fast == pytest.approx(slow, rel=1e-12)
-    assert sum(vectorized) == pytest.approx(6e6, rel=1e-9)
+    allocation = _water_fill(6e6, caps)
+    assert allocation == _max_min_allocation_reference(6e6, caps)
+    assert sum(allocation) == pytest.approx(6e6, rel=1e-9)
 
 
 def test_validation_preserved():
     with pytest.raises(ValueError):
-        max_min_allocation(-1.0, [1.0])
+        _max_min_allocation_reference(-1.0, [1.0])
     with pytest.raises(ValueError):
-        max_min_allocation(1.0, [-1.0])
-    assert max_min_allocation(5.0, []) == []
+        _max_min_allocation_reference(1.0, [-1.0])
+    assert _max_min_allocation_reference(5.0, []) == []
 
 
 def test_scheduler_rates_match_reference_water_filling():

@@ -72,8 +72,9 @@ def test_no_sleep_power_matches_components():
 
 def test_total_power_counts_waking_devices():
     model = AccessNetworkPowerModel()
-    full = model.total_power(gateways_online=2, modems_online=2, line_cards_online=1,
-                             gateways_waking=1, modems_waking=1)
+    full = model.user_side_power(gateways_online=2, gateways_waking=1) + model.isp_side_power(
+        modems_online=2, line_cards_online=1, modems_waking=1
+    )
     assert full == pytest.approx(2 * 9 + 1 * 9 + 3 * 1 + 98 + 21)
 
 
@@ -97,7 +98,6 @@ def test_energy_accumulator_totals():
     breakdown = acc.breakdown()
     assert breakdown.per_category_j["gateway"] == pytest.approx(1080.0)
     assert breakdown.total_j == pytest.approx(1080.0 + 5880.0)
-    assert breakdown.user_side_j == pytest.approx(1080.0)
     assert breakdown.isp_side_j == pytest.approx(5880.0)
 
 
@@ -133,19 +133,12 @@ def test_energy_horizon_clamps_series():
     assert max(times) == 0.0
 
 
-def test_breakdown_savings_and_addition():
+def test_breakdown_addition():
     baseline = EnergyBreakdown({"gateway": 1000.0, "line_card": 1000.0})
     run = EnergyBreakdown({"gateway": 400.0, "line_card": 600.0})
-    assert run.savings_vs(baseline) == pytest.approx(0.5)
-    assert run.isp_share_of_savings(baseline) == pytest.approx(0.4)
     merged = baseline + run
     assert merged.total_j == pytest.approx(3000.0)
     assert baseline.total_kwh == pytest.approx(2000.0 / 3.6e6)
-
-
-def test_breakdown_savings_requires_positive_baseline():
-    with pytest.raises(ValueError):
-        EnergyBreakdown({}).savings_vs(EnergyBreakdown({}))
 
 
 def test_per_generation_gateway_categories_count_as_user_side():
@@ -154,7 +147,6 @@ def test_per_generation_gateway_categories_count_as_user_side():
         "gateway:efficient-5w": 300.0,
         "isp_modem": 50.0,
     })
-    assert breakdown.user_side_j == pytest.approx(900.0)
     assert breakdown.isp_side_j == pytest.approx(50.0)
     assert breakdown.total_j == pytest.approx(950.0)
 

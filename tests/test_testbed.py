@@ -73,8 +73,8 @@ def test_replay_bh2_sleeps_more_than_soi(trace):
     results = replay.run_comparison()
     assert set(results) == {"BH2", "SoI"}
     num_gateways = replay.config.num_gateways
-    bh2_sleeping = results["BH2"].mean_sleeping(num_gateways)
-    soi_sleeping = results["SoI"].mean_sleeping(num_gateways)
+    bh2_sleeping = num_gateways - results["BH2"].mean_online()
+    soi_sleeping = num_gateways - results["SoI"].mean_online()
     # Fig. 12: BH2 keeps more gateways asleep than plain SoI.
     assert bh2_sleeping >= soi_sleeping - 0.25
     for result in results.values():

@@ -120,7 +120,7 @@ def test_adsl_model_peak_is_in_the_evening():
 
 def test_adsl_average_plan_speed_near_6mbps():
     model = AdslUtilizationModel(AdslPopulationConfig(num_subscribers=2000, seed=2))
-    assert 4e6 <= model.average_downlink_speed_bps() <= 9e6
+    assert 4e6 <= float(np.mean(model.downlink_plan)) <= 9e6
 
 
 def test_diurnal_profile_wraps():

@@ -1,35 +1,44 @@
-"""Round-trip tests for trace persistence."""
+"""Tests for trace persistence: the CSV and JSON side-car that write_trace emits."""
+
+import csv
+import json
 
 import pytest
 
-from repro.traces.io import read_trace, write_trace
+from repro.traces.io import write_trace
 from repro.traces.synthetic import generate_crawdad_like_trace
+
+
+def _read_rows(path):
+    with open(path, newline="") as handle:
+        return list(csv.DictReader(handle))
 
 
 def test_write_read_roundtrip(tmp_path):
     trace = generate_crawdad_like_trace(seed=4, num_clients=12, num_gateways=4, duration=3600.0)
     path = tmp_path / "trace.csv"
     write_trace(trace, path)
-    loaded = read_trace(path)
-    assert loaded.num_clients == trace.num_clients
-    assert loaded.num_gateways == trace.num_gateways
-    assert loaded.num_flows == trace.num_flows
-    assert loaded.total_bytes == trace.total_bytes
-    assert loaded.home_gateway == trace.home_gateway
+    rows = _read_rows(path)
+    meta = json.loads(path.with_suffix(".meta.json").read_text())
+    assert len(meta["home_gateway"]) == trace.num_clients
+    assert meta["num_gateways"] == trace.num_gateways
+    assert meta["duration"] == trace.duration
+    assert len(rows) == trace.num_flows
+    assert sum(int(row["size_bytes"]) for row in rows) == trace.total_bytes
+    assert {int(c): g for c, g in meta["home_gateway"].items()} == trace.home_gateway
 
 
 def test_roundtrip_preserves_flow_fields(tmp_path):
     trace = generate_crawdad_like_trace(seed=4, num_clients=5, num_gateways=2, duration=1800.0)
     path = tmp_path / "trace.csv"
     write_trace(trace, path)
-    loaded = read_trace(path)
     original = {f.flow_id: f for f in trace.all_flows()}
-    for flow in loaded.all_flows():
-        reference = original[flow.flow_id]
-        assert flow.client_id == reference.client_id
-        assert flow.size_bytes == reference.size_bytes
-        assert flow.start_time == pytest.approx(reference.start_time, abs=1e-5)
-        assert flow.kind == reference.kind
+    for row in _read_rows(path):
+        reference = original[int(row["flow_id"])]
+        assert int(row["client_id"]) == reference.client_id
+        assert int(row["size_bytes"]) == reference.size_bytes
+        assert float(row["start_time"]) == pytest.approx(reference.start_time, abs=1e-5)
+        assert row["kind"] == reference.kind
 
 
 def test_explicit_meta_path(tmp_path):
@@ -37,22 +46,5 @@ def test_explicit_meta_path(tmp_path):
     flows_path = tmp_path / "flows.csv"
     meta_path = tmp_path / "deployment.json"
     write_trace(trace, flows_path, meta_path)
-    loaded = read_trace(flows_path, meta_path)
-    assert loaded.num_clients == 3
-
-
-def test_read_with_unknown_client_fails(tmp_path):
-    import json
-
-    trace = generate_crawdad_like_trace(seed=1, num_clients=6, num_gateways=2, duration=3600.0,
-                                        diurnal_profile=(1.0,) * 24)
-    flows_path = tmp_path / "flows.csv"
-    write_trace(trace, flows_path)
-    meta_path = flows_path.with_suffix(".meta.json")
-    meta = json.loads(meta_path.read_text())
-    clients_with_flows = {f.client_id for f in trace.all_flows()}
-    victim = str(next(iter(clients_with_flows)))
-    del meta["home_gateway"][victim]
-    meta_path.write_text(json.dumps(meta))
-    with pytest.raises(ValueError):
-        read_trace(flows_path)
+    assert len(json.loads(meta_path.read_text())["home_gateway"]) == 3
+    assert not flows_path.with_suffix(".meta.json").exists()

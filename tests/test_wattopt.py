@@ -27,7 +27,6 @@ from repro.core.schemes import (
     bh2_watts,
     optimal,
     optimal_watts,
-    watt_schemes,
 )
 from repro.fleet.profile import FLEETS, HOMOGENEOUS
 from repro.simulation.runner import run_scheme
@@ -36,9 +35,6 @@ from repro.wattopt import (
     ExactWattAggregationSolver,
     WattCostModel,
     WattGreedyAggregationSolver,
-    count_vs_watt_gap,
-    scenario_cost_model,
-    watt_objective,
 )
 
 # ----------------------------------------------------------------------
@@ -61,7 +57,6 @@ def test_from_fleet_mixed_marginals_follow_generations():
     marginals = sorted(set(model.marginals()))
     # efficient-5w: 5 - 0.3 + 1; legacy-9w: 9 - 0 + 1.
     assert marginals == [5.7, 10.0]
-    assert model.max_marginal_w() == 10.0
     bias = model.bias()
     assert min(bias) > 0 and max(bias) == 1.0
     # The cheapest generation carries bias 1.0, the legacy one less.
@@ -83,17 +78,6 @@ def test_cost_model_validation():
         WattCostModel(online_w=(9.0,), standby_w=(-1.0,))
     with pytest.raises(ValueError):  # zero marginal draw
         WattCostModel(online_w=(1.0,), standby_w=(1.0,), modem_w=0.0)
-
-
-def test_scenario_cost_model_uses_attached_fleet():
-    scenario = build_default_scenario(
-        seed=5, num_clients=12, num_gateways=4, duration=600.0,
-        fleet=FLEETS["legacy-efficient"],
-    )
-    model = scenario_cost_model(scenario)
-    assert not model.is_uniform
-    plain = build_default_scenario(seed=5, num_clients=12, num_gateways=4, duration=600.0)
-    assert scenario_cost_model(plain).is_uniform
 
 
 # ----------------------------------------------------------------------
@@ -167,10 +151,13 @@ def test_exact_watt_matches_exact_count_on_uniform_models():
 def test_count_vs_watt_gap_reports_savings():
     model = WattCostModel(online_w=(9.0, 5.0, 9.0), standby_w=(0.0, 0.3, 0.0), modem_w=1.0)
     problem = _reach_all({u: 0.2e6 for u in range(6)}, 3)
-    gap = count_vs_watt_gap(problem, model)
-    assert gap["watt_watts"] <= gap["count_watts"]
-    assert gap["watts_saved"] == gap["count_watts"] - gap["watt_watts"]
-    assert gap["count_online"] == gap["watt_online"] == 1.0
+    count_solution = GreedyAggregationSolver().solve(problem)
+    watt_solution = WattGreedyAggregationSolver(model).solve(problem)
+    assert count_solution.objective == watt_solution.objective == 1
+    # Same number of gateways online, but the watt solver picks the 5 W one.
+    watts = model.watt_objective
+    assert watts(watt_solution.online_gateways) < watts(count_solution.online_gateways)
+    assert watt_solution.online_gateways == frozenset({1})
 
 
 # ----------------------------------------------------------------------
@@ -220,12 +207,12 @@ def test_watt_greedy_within_one_device_of_exact_on_random_instances():
         checked += 1
         greedy_solution = WattGreedyAggregationSolver(model).solve(problem)
         assert verify_solution(problem, greedy_solution)
-        exact_watts = watt_objective(exact_solution, model)
-        greedy_watts = watt_objective(greedy_solution, model)
+        exact_watts = model.watt_objective(exact_solution.online_gateways)
+        greedy_watts = model.watt_objective(greedy_solution.online_gateways)
         # Exact is a true lower bound; greedy lands within one device's
         # marginal draw of it on every generated instance.
         assert exact_watts <= greedy_watts + 1e-9
-        assert greedy_watts <= exact_watts + model.max_marginal_w() + 1e-9
+        assert greedy_watts <= exact_watts + max(model.marginals()) + 1e-9
     assert checked == 200  # the generator produces feasible instances only
 
 
@@ -334,11 +321,6 @@ def test_optimal_watts_spends_strictly_fewer_gateway_kwh_on_a_mixed_fleet(
     assert watts.generation_energy_j["legacy-9w"] < count.generation_energy_j["legacy-9w"]
 
 
-def test_watt_schemes_pairs_twins_in_order():
-    names = [s.name for s in watt_schemes()]
-    assert names == ["no-sleep", "Optimal", "optimal-watts", "BH2+k-switch", "bh2-watts"]
-
-
 # ----------------------------------------------------------------------
 # Sweep integration: digests, family defaults, the gap report
 # ----------------------------------------------------------------------
@@ -384,11 +366,12 @@ def test_family_rejects_unknown_scheme_names():
 
 
 def test_watt_gap_rows_pair_twins_from_a_sweep(tmp_path):
-    from repro.sweep import ResultStore, SweepConfig, run_sweep, watt_gap_rows
+    from repro.sweep import ResultStore, SweepConfig, family, run_sweep, watt_gap_rows
 
+    watt_schemes = family("watt-aware").default_schemes()
     result = run_sweep(
         family_names=["smoke"],
-        schemes=watt_schemes(),
+        schemes=watt_schemes,
         config=SweepConfig(step_s=5.0),
         store=ResultStore(tmp_path / "store"),
     )
@@ -402,7 +385,7 @@ def test_watt_gap_rows_pair_twins_from_a_sweep(tmp_path):
     # Resuming from the store reproduces the same rows bit for bit.
     resumed = run_sweep(
         family_names=["smoke"],
-        schemes=watt_schemes(),
+        schemes=watt_schemes,
         config=SweepConfig(step_s=5.0),
         store=ResultStore(tmp_path / "store"),
     )

@@ -3,12 +3,6 @@
 import pytest
 
 from repro.wireless.channel import WirelessChannel
-from repro.wireless.load_estimation import (
-    SEQUENCE_NUMBER_MODULUS,
-    SequenceNumberLoadEstimator,
-    synthesize_observations,
-)
-from repro.wireless.virtualization import TdmaSchedule, VirtualWirelessCard
 
 
 def test_channel_default_capacities():
@@ -28,93 +22,3 @@ def test_channel_shadowing_varies_across_pairs():
     channel = WirelessChannel(shadowing_sigma_db=4.0, seed=1)
     values = {channel.capacity(0, g, is_home=False) for g in range(10)}
     assert len(values) > 1
-
-
-def test_channel_supports_demand():
-    channel = WirelessChannel()
-    assert channel.supports_demand(0, 1, is_home=False, demand_bps=5e6)
-    assert not channel.supports_demand(0, 1, is_home=False, demand_bps=7e6)
-    with pytest.raises(ValueError):
-        channel.supports_demand(0, 1, True, -1.0)
-
-
-def test_tdma_schedule_validation():
-    with pytest.raises(ValueError):
-        TdmaSchedule(period_s=0.1, shares={0: 0.7, 1: 0.5}, selected=0)
-    schedule = TdmaSchedule(period_s=0.1, shares={0: 0.6, 1: 0.4}, selected=0)
-    assert schedule.share_of(0) == pytest.approx(0.6)
-    assert schedule.share_of(99) == 0.0
-
-
-def test_virtual_card_default_schedule_shares():
-    card = VirtualWirelessCard(client_id=0, reachable_gateways=frozenset({1, 2, 3}))
-    card.select(1)
-    schedule = card.schedule()
-    assert schedule.share_of(1) == pytest.approx(0.6)
-    assert schedule.share_of(2) == pytest.approx(0.2)
-    assert sum(schedule.shares.values()) == pytest.approx(1.0)
-
-
-def test_virtual_card_single_gateway_gets_everything():
-    card = VirtualWirelessCard(client_id=0, reachable_gateways=frozenset({5}))
-    card.select(5)
-    assert card.schedule().share_of(5) == pytest.approx(1.0)
-
-
-def test_virtual_card_monitoring_only_schedule():
-    card = VirtualWirelessCard(client_id=0, reachable_gateways=frozenset({1, 2}))
-    schedule = card.schedule()
-    assert schedule.selected is None
-    assert schedule.share_of(1) == pytest.approx(0.5)
-
-
-def test_virtual_card_cannot_select_unreachable():
-    card = VirtualWirelessCard(client_id=0, reachable_gateways=frozenset({1}))
-    with pytest.raises(ValueError):
-        card.select(7)
-
-
-def test_effective_capacity_is_share_times_rate():
-    card = VirtualWirelessCard(client_id=0, reachable_gateways=frozenset({1, 2}))
-    card.select(1)
-    assert card.effective_capacity(1, 12e6) == pytest.approx(0.6 * 12e6)
-    # The paper's check: 60 % of a 12 Mbps wireless link still exceeds a 6 Mbps backhaul.
-    assert card.effective_capacity(1, 12e6) >= 6e6
-
-
-def test_sequence_number_estimator_recovers_utilization():
-    backhaul = 6e6
-    true_util = 0.3
-    estimator = SequenceNumberLoadEstimator(backhaul_bps=backhaul)
-    for sample in synthesize_observations(true_util, backhaul, seed=3):
-        estimator.observe(sample.time_s, sample.sequence_number)
-    assert estimator.utilization() == pytest.approx(true_util, rel=0.25)
-
-
-def test_sequence_number_wraparound_handled():
-    estimator = SequenceNumberLoadEstimator(backhaul_bps=6e6, mean_frame_bytes=1500.0)
-    estimator.observe(0.0, SEQUENCE_NUMBER_MODULUS - 5)
-    estimator.observe(10.0, 5)
-    assert estimator.frames_in_window() == 10
-
-
-def test_estimator_requires_time_order():
-    estimator = SequenceNumberLoadEstimator(backhaul_bps=6e6)
-    estimator.observe(10.0, 0)
-    with pytest.raises(ValueError):
-        estimator.observe(5.0, 1)
-
-
-def test_estimator_idle_gateway_reports_zero():
-    estimator = SequenceNumberLoadEstimator(backhaul_bps=6e6)
-    estimator.observe(0.0, 100)
-    estimator.observe(30.0, 100)
-    assert estimator.utilization() == 0.0
-
-
-def test_estimator_reset():
-    estimator = SequenceNumberLoadEstimator(backhaul_bps=6e6)
-    estimator.observe(0.0, 0)
-    estimator.observe(10.0, 500)
-    estimator.reset()
-    assert estimator.frames_in_window() == 0
