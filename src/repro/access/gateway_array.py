@@ -154,18 +154,12 @@ class GatewayArray:
         self._sleep_check_at = (
             self.soi.idle_timeout_s if (sleep_enabled and initial == STATE_ACTIVE) else inf
         )
-        # With a zero idle timeout the sleep scan fires every step; counting
-        # pinned-active gateways lets step_to skip it when nothing can sleep.
-        self._count_pins = sleep_enabled and self.soi.idle_timeout_s == 0.0
 
         # Sliding-window traffic samples: parallel (time, bits) lists with a
         # lazily-advanced head index.
         self._sample_times: List[List[float]] = [[] for _ in range(n)]
         self._sample_bits: List[List[float]] = [[] for _ in range(n)]
         self._sample_head: List[int] = [0] * n
-        # Exact utilisation-sum cache: (head, len, sum) per gateway — valid
-        # whenever the live slice of the sample list is unchanged.
-        self._util_cache: List[Tuple[int, int, float]] = [(0, 0, 0.0)] * n
 
     # ------------------------------------------------------------------
     # Counts and id sets
@@ -226,9 +220,9 @@ class GatewayArray:
     def force_sleep(self, gateway_id: int, now: float) -> None:
         """Put a gateway to sleep immediately, whatever it is doing.
 
-        Used by churn events (failures, decommissioning): a pending wake is
-        cancelled and the sliding-window traffic samples are cleared, just
-        as an idle-timeout sleep would.
+        The idle-timeout sleep of :meth:`step_to` and churn events
+        (failures, decommissioning) both land here: a pending wake is
+        cancelled and the sliding-window traffic samples are cleared.
         """
         state = self.state[gateway_id]
         if state == STATE_SLEEPING:
@@ -244,7 +238,6 @@ class GatewayArray:
             self._sample_times[gateway_id].clear()
             self._sample_bits[gateway_id].clear()
             self._sample_head[gateway_id] = 0
-            self._util_cache[gateway_id] = (0, 0, 0.0)
 
     def set_in_service(
         self, gateway_id: int, flag: bool, now: float, activate: bool = False
@@ -321,31 +314,12 @@ class GatewayArray:
 
     def utilization(self, gateway_id: int, now: float) -> float:
         """Backhaul utilisation over the trailing load window (0..1)."""
-        window = self.load_window_s
-        times = self._sample_times[gateway_id]
-        length = len(times)
-        cached_head, cached_length, bits = self._util_cache[gateway_id]
-        if (
-            cached_length == length
-            and now >= window
-            and (cached_head == length or times[cached_head] >= now - window)
-        ):
-            # Nothing appended and nothing expired: the cached window sum
-            # (and the constant window width) give the exact same value.
-            load = bits / (self.backhaul_bps * window)
-            return load if load < 1.0 else 1.0
         head = self._trim_samples(gateway_id, now)
         sample_bits = self._sample_bits[gateway_id]
-        length = len(sample_bits)
         bits = sum(sample_bits[head:]) if head else sum(sample_bits)
-        self._util_cache[gateway_id] = (head, length, bits)
-        window = min(window, max(now, 1e-9))
+        window = min(self.load_window_s, max(now, 1e-9))
         load = bits / (self.backhaul_bps * window)
         return load if load < 1.0 else 1.0
-
-    def idle_for(self, gateway_id: int, now: float) -> float:
-        """Seconds since the last traffic through a gateway."""
-        return max(0.0, now - self.last_traffic_at[gateway_id])
 
     # ------------------------------------------------------------------
     # Time stepping
@@ -367,27 +341,10 @@ class GatewayArray:
         the advanced interval.  Returns whether any gateway changed state.
         """
         last_traffic = self.last_traffic_at
-        if self._count_pins:
-            # Zero idle timeout: the sleep scan would otherwise run every
-            # step, so count how many active gateways are pinned — when all
-            # of them are, nothing can sleep and the scan is skipped.
-            state = self.state
-            pinned_active = 0
-            for gateway_id in pending:
-                last_traffic[gateway_id] = end
-                if state[gateway_id] == STATE_ACTIVE:
-                    pinned_active += 1
-            for gateway_id in extra_pending:
-                if last_traffic[gateway_id] != end:
-                    last_traffic[gateway_id] = end
-                    if state[gateway_id] == STATE_ACTIVE:
-                        pinned_active += 1
-        else:
-            pinned_active = -1
-            for gateway_id in pending:
-                last_traffic[gateway_id] = end
-            for gateway_id in extra_pending:
-                last_traffic[gateway_id] = end
+        for gateway_id in pending:
+            last_traffic[gateway_id] = end
+        for gateway_id in extra_pending:
+            last_traffic[gateway_id] = end
         changed = False
         woken: List[int] = []
         if end >= self._min_wake_deadline:
@@ -408,10 +365,6 @@ class GatewayArray:
             changed = bool(woken)
         if self.sleep_enabled and end >= self._sleep_check_at:
             timeout = self.soi.idle_timeout_s
-            if pinned_active == self.active_count and not woken:
-                # Every active gateway is pinned: nothing can sleep.
-                self._sleep_check_at = end + timeout
-                return changed
             state = self.state
             next_check = inf
             for gateway_id in range(self.num_gateways):
@@ -422,13 +375,7 @@ class GatewayArray:
                 if gateway_id in pending or gateway_id in woken or gateway_id in extra_pending:
                     deadline = end + timeout
                 elif end - last_traffic[gateway_id] >= timeout:
-                    self._change_state(gateway_id, STATE_SLEEPING, end)
-                    self.sleep_count[gateway_id] += 1
-                    if self.track_load:
-                        self._sample_times[gateway_id].clear()
-                        self._sample_bits[gateway_id].clear()
-                        self._sample_head[gateway_id] = 0
-                        self._util_cache[gateway_id] = (0, 0, 0.0)
+                    self.force_sleep(gateway_id, end)
                     changed = True
                     continue
                 else:

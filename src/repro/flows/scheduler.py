@@ -14,9 +14,9 @@ step is a tight multiply-subtract loop with no completion bookkeeping.
 The per-flow arithmetic (including the iterative water-filling used for
 in-simulator rate computation) reproduces the seed bit for bit.
 
-The seed's iterative allocator is kept as
-:func:`_max_min_allocation_reference`, the oracle the water-filling loop
-is property-tested against.
+The seed's iterative allocator lives on in the preserved seed kernel as
+:func:`repro.simulation.reference_kernel.reference_max_min_allocation`,
+the oracle the water-filling loop is property-tested against.
 """
 
 from __future__ import annotations
@@ -38,72 +38,13 @@ def _water_fill(capacity_bps: float, caps_bps: Sequence[float]) -> List[float]:
     """The seed's iterative water-filling loop, without argument validation.
 
     Used on the scheduler's hot path where the inputs are known valid; the
-    arithmetic (and therefore every produced rate) is bit-identical to
-    :func:`_max_min_allocation_reference`.
+    arithmetic (and therefore every produced rate) is bit-identical to the
+    seed kernel's
+    :func:`~repro.simulation.reference_kernel.reference_max_min_allocation`.
     """
     n = len(caps_bps)
     if capacity_bps <= 1e-12:
         return [0.0] * n
-    if n == 2:
-        # The two-flow case is by far the most common beyond singletons;
-        # this branch replays the reference loop's exact float operations.
-        a, b = caps_bps
-        if a > 0 and b > 0:
-            share = capacity_bps / 2
-            a_fits = a <= share
-            b_fits = b <= share
-            if a_fits and b_fits:
-                return [a, b]
-            if a_fits:
-                remaining = capacity_bps - a
-                if remaining > 1e-12:
-                    return [a, b if b <= remaining else remaining]
-                return [a, 0.0]
-            if b_fits:
-                remaining = capacity_bps - b
-                if remaining > 1e-12:
-                    return [a if a <= remaining else remaining, b]
-                return [0.0, b]
-            return [share, share]
-        if a > 0:
-            return [a if a <= capacity_bps else capacity_bps, 0.0]
-        if b > 0:
-            return [0.0, b if b <= capacity_bps else capacity_bps]
-        return [0.0, 0.0]
-    allocation = [0.0] * n
-    remaining = capacity_bps
-    unsatisfied = [i for i in range(n) if caps_bps[i] > 0]
-    while unsatisfied and remaining > 1e-12:
-        share = remaining / len(unsatisfied)
-        bottlenecked = [i for i in unsatisfied if caps_bps[i] - allocation[i] <= share]
-        if bottlenecked:
-            for i in bottlenecked:
-                remaining -= caps_bps[i] - allocation[i]
-                allocation[i] = caps_bps[i]
-            unsatisfied = [i for i in unsatisfied if i not in set(bottlenecked)]
-        else:
-            for i in unsatisfied:
-                allocation[i] += share
-            remaining = 0.0
-    return allocation
-
-
-def _max_min_allocation_reference(capacity_bps: float, caps_bps: Sequence[float]) -> List[float]:
-    """Reference max-min allocation: the seed's iterative water-filling.
-
-    Repeatedly gives every unsatisfied flow an equal share of the remaining
-    capacity; flows whose cap is below the share get exactly their cap and
-    drop out.  Kept verbatim (modulo the extracted loop in
-    :func:`_water_fill`): the scheduler's allocator is property-tested
-    against it, so flow service stays bit-identical to the seed kernel.
-    """
-    if capacity_bps < 0:
-        raise ValueError("capacity must be non-negative")
-    n = len(caps_bps)
-    if n == 0:
-        return []
-    if any(c < 0 for c in caps_bps):
-        raise ValueError("caps must be non-negative")
     allocation = [0.0] * n
     remaining = capacity_bps
     unsatisfied = [i for i in range(n) if caps_bps[i] > 0]
@@ -140,7 +81,6 @@ class FlowScheduler:
         self._online_members: Set[int] = set()
         #: Earliest (analytic) completion instant per serving gateway.
         self._gw_completion: Dict[int, float] = {}
-        self._next_completion = inf
         #: Global admission counter (stamps ActiveFlow.admission_index).
         self._admit_counter = 0
         #: Rate-cache accounting: how many per-gateway recomputations ran
@@ -154,16 +94,6 @@ class FlowScheduler:
     def active_flows(self) -> List[ActiveFlow]:
         """Flows that still have bytes to transfer."""
         return [flow for group in self._groups.values() for flow in group]
-
-    @property
-    def completed_flows(self) -> List[ActiveFlow]:
-        """Flows that finished, in completion order."""
-        return list(self._completed)
-
-    @property
-    def has_active(self) -> bool:
-        """Whether any flow is in flight (cheaper than ``active_flows``)."""
-        return self._n_active > 0
 
     def admit(self, flow: ActiveFlow) -> None:
         """Add a new flow to the system."""
@@ -212,7 +142,6 @@ class FlowScheduler:
         if not group:
             del self._groups[gateway_id]
             self._gw_completion.pop(gateway_id, None)
-            self._refresh_next_completion()
         self._dirty.add(gateway_id)
 
     def cancel(self, flow: ActiveFlow) -> None:
@@ -237,14 +166,6 @@ class FlowScheduler:
             self.cancel(flow)
         return len(doomed)
 
-    def flows_at_gateway(self, gateway_id: int) -> List[ActiveFlow]:
-        """Active flows currently routed through ``gateway_id``."""
-        return list(self._groups.get(gateway_id, ()))
-
-    def gateways_with_traffic(self) -> Set[int]:
-        """Gateways that have at least one active (possibly waiting) flow."""
-        return set(self._groups)
-
     def gateway_group_map(self) -> Dict[int, List[ActiveFlow]]:
         """Live gateway → flows mapping (read-only for callers)."""
         return self._groups
@@ -254,17 +175,6 @@ class FlowScheduler:
         return {
             flow.flow.client_id for group in self._groups.values() for flow in group
         }
-
-    def demand_bps(self, gateway_id: int, horizon_s: float = 60.0) -> float:
-        """Aggregate demand of the flows at ``gateway_id`` over a horizon.
-
-        Used by the optimal ILP as the per-user demand estimate d_i(t).
-        """
-        if horizon_s <= 0:
-            raise ValueError("horizon_s must be positive")
-        return sum(
-            flow.remaining_bytes * 8.0 for flow in self._groups.get(gateway_id, ())
-        ) / horizon_s
 
     def client_demand_bps(self, horizon_s: float = 60.0) -> Dict[int, float]:
         """Per-client aggregate demand over a horizon (d_i of Eq. 1)."""
@@ -284,29 +194,14 @@ class FlowScheduler:
     # ------------------------------------------------------------------
     # Rate maintenance
     # ------------------------------------------------------------------
-    def ensure_rates(
-        self,
-        now: float,
-        online_gateways: Set[int],
-        backhaul_bps: Optional[Dict[int, float]] = None,
-    ) -> None:
+    def ensure_rates(self, now: float, online_gateways: Set[int]) -> None:
         """Recompute the cached per-flow rates where anything changed.
 
         Passing the *same set object* for ``online_gateways`` as the last
         call signals an unchanged online set; a different object is diffed
         against the previous membership and only affected gateways are
-        recomputed.  A per-call ``backhaul_bps`` override forces a one-off
-        full recomputation that is not cached.
+        recomputed.
         """
-        if backhaul_bps is not None:
-            self._online_members = set(online_gateways)
-            self.rate_recomputes += len(self._groups)
-            for gateway_id in self._groups:
-                self._recompute_gateway(gateway_id, now, backhaul_bps)
-            self._dirty = set(self._groups)
-            self._online_ref = None
-            self._refresh_next_completion()
-            return
         if online_gateways is not self._online_ref:
             if self._online_ref is None:
                 self._dirty.update(self._groups)
@@ -320,35 +215,11 @@ class FlowScheduler:
             self.rate_cache_hits += 1
             return
         self.rate_recomputes += len(self._dirty)
-        groups = self._groups
-        gw_completion = self._gw_completion
-        online = self._online_members
-        capacity = self.backhaul_bps
         for gateway_id in self._dirty:
-            group = groups.get(gateway_id)
-            if group is not None and len(group) == 1 and gateway_id in online:
-                # Inlined single-flow case (the vast majority of recomputes):
-                # water-filling degenerates to min(cap, capacity) with no
-                # arithmetic, exactly as the reference computes it.
-                flow = group[0]
-                rate = flow.wireless_capacity_bps
-                if rate > capacity:
-                    rate = capacity
-                flow.rate_bps = rate
-                if rate > 0:
-                    if flow.first_service_time is None:
-                        flow.first_service_time = now
-                    gw_completion[gateway_id] = now + flow.remaining_bytes * 8.0 / rate
-                else:
-                    gw_completion.pop(gateway_id, None)
-            else:
-                self._recompute_gateway(gateway_id, now, None)
+            self._recompute_gateway(gateway_id, now)
         self._dirty.clear()
-        self._refresh_next_completion()
 
-    def _recompute_gateway(
-        self, gateway_id: int, now: float, backhaul_bps: Optional[Dict[int, float]]
-    ) -> None:
+    def _recompute_gateway(self, gateway_id: int, now: float) -> None:
         group = self._groups.get(gateway_id)
         if not group:
             self._gw_completion.pop(gateway_id, None)
@@ -359,8 +230,6 @@ class FlowScheduler:
             self._gw_completion.pop(gateway_id, None)
             return
         capacity = self.backhaul_bps
-        if backhaul_bps is not None:
-            capacity = backhaul_bps.get(gateway_id, self.backhaul_bps)
         earliest = inf
         if len(group) == 1:
             flow = group[0]
@@ -414,11 +283,6 @@ class FlowScheduler:
         else:
             self._gw_completion.pop(gateway_id, None)
 
-    def _refresh_next_completion(self) -> None:
-        self._next_completion = (
-            min(self._gw_completion.values()) if self._gw_completion else inf
-        )
-
     def stretch_completion_bound(self, now: float, online_gateways: Set[int], sleep_guard_s: float) -> float:
         """Earliest instant a flow completion becomes a *stepper* event.
 
@@ -454,33 +318,6 @@ class FlowScheduler:
             if last_drain < bound:
                 bound = last_drain
         return bound
-
-    # ------------------------------------------------------------------
-    # Stepping
-    # ------------------------------------------------------------------
-    def step(
-        self,
-        now: float,
-        dt: float,
-        online_gateways: Set[int],
-        backhaul_bps: Optional[Dict[int, float]] = None,
-    ) -> Tuple[Dict[int, float], List[ActiveFlow]]:
-        """Advance all flows by ``dt`` seconds ending at ``now + dt``.
-
-        Flows whose gateway is not online make no progress (they are waiting
-        for the gateway to wake up).  Returns the bits served per gateway and
-        the list of flows that completed during this step.
-        """
-        if dt < 0:
-            raise ValueError("dt must be non-negative")
-        if dt == 0 or self._n_active == 0:
-            return {}, []
-        # Defensive copy: ensure_rates detects online-set changes by object
-        # identity (callers like the simulator pass a stable cached set);
-        # step() callers may mutate one set in place between calls.
-        self.ensure_rates(now, set(online_gateways), backhaul_bps)
-        step_totals, completed = self.serve(now, dt, (now + dt,))
-        return step_totals[0], completed
 
     def serve_single(
         self, now: float, end: float, dt: float

@@ -1,4 +1,4 @@
-"""The seed (pre-vectorization) simulation kernel, preserved verbatim.
+"""The seed simulation kernel, preserved verbatim.
 
 This module freezes the original pure-Python per-step kernel exactly as it
 shipped in the seed tree: one Python loop over gateways per step for
@@ -6,7 +6,7 @@ serving, state stepping, energy charging and sampling, a per-step rebuild
 of the flow-to-gateway map, and the O(n^2) water-filling allocator.
 
 It exists as an oracle: ``tests/test_kernel_equivalence.py`` asserts
-that the vectorized kernel in :mod:`repro.simulation.simulator`
+that the production kernel in :mod:`repro.simulation.simulator`
 reproduces the seed trajectory (same savings, same online-gateway
 samples, same flow records) for every scheme.
 

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import gc
 from bisect import bisect_right
-from collections.abc import Sequence as _SequenceABC
 from dataclasses import dataclass, field
 from heapq import heapify, heappop, heappush
 from math import inf, isfinite
@@ -64,51 +63,6 @@ from repro.traces.models import Flow
 from repro.wattopt.cost import WattCostModel
 from repro.wattopt.solver import WattGreedyAggregationSolver
 from repro.wireless.channel import WirelessChannel
-
-
-class LazyFlowRecords(_SequenceABC):
-    """List-like view that materialises flow records on first access.
-
-    A scheme comparison keeps ``runs_per_scheme`` results per scheme but
-    reads per-flow records only from the first run, so building hundreds of
-    thousands of :class:`FlowRecord` tuples eagerly per run is wasted work.
-    """
-
-    __slots__ = ("_factory", "_records")
-
-    def __init__(self, factory):
-        self._factory = factory
-        self._records: Optional[List[FlowRecord]] = None
-
-    def _materialise(self) -> List[FlowRecord]:
-        records = self._records
-        if records is None:
-            records = self._factory()
-            self._records = records
-            self._factory = None
-        return records
-
-    def __iter__(self):
-        return iter(self._materialise())
-
-    def __len__(self) -> int:
-        return len(self._materialise())
-
-    def __getitem__(self, index):
-        return self._materialise()[index]
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, LazyFlowRecords):
-            other = other._materialise()
-        return self._materialise() == other
-
-    def __reduce__(self):
-        # Pickles as a plain list (materialised where the pickling happens —
-        # inside the worker process for parallel runs).
-        return (list, (self._materialise(),))
-
-    def __repr__(self) -> str:
-        return repr(self._materialise())
 
 
 @dataclass
@@ -460,7 +414,6 @@ class AccessNetworkSimulator:
         self._dslam_version = self.gateway_array.version
         self._online_set: Set[int] = set(self.gateway_array.online_ids())
         self._online_version = self.gateway_array.version
-        self._obs_flags_version = -1
         self._optimal_wireless_cache: Optional[Dict[Tuple[int, int], float]] = None
         self._optimal_capacities_cache: Optional[Dict[int, float]] = None
         #: Pending energy segment: [start, end, active, waking, cards_on].
@@ -501,13 +454,8 @@ class AccessNetworkSimulator:
         step_s = self.step_s
         sample_interval_s = self.sample_interval_s
         optimal_period_s = self.scheme.optimal_period_s
-        track_load = gateway_array.track_load
-        sample_times = gateway_array._sample_times
-        sample_bits = gateway_array._sample_bits
-        bits_served = gateway_array.bits_served
-        last_traffic = gateway_array.last_traffic_at
         record_sample = self._record_sample
-        next_dt = self._next_dt
+        idle_dt = self._idle_dt
         admit_arrivals = self._admit_arrivals
         plan_stretch = self._plan_stretch
         hetero = self._fleet_hetero
@@ -525,7 +473,6 @@ class AccessNetworkSimulator:
             # landing on a BH2 decision epoch is seen by that decision).
             if now >= self._next_churn_at:
                 self._apply_churn(now)
-            # Inlined _next_dt active path (the idle path stays a helper).
             self._now_hint = now
             if scheduler._n_active > 0:
                 leftover = horizon - now
@@ -538,7 +485,7 @@ class AccessNetworkSimulator:
                 else:
                     stretchable = dt == step_s
             else:
-                dt = next_dt(now, next_sample, horizon)
+                dt = idle_dt(now, next_sample, horizon)
                 stretchable = False
             admit_arrivals(now)
             if is_bh2:
@@ -581,18 +528,10 @@ class AccessNetworkSimulator:
             if has_active:
                 scheduler.ensure_rates(now, self._current_online_set())
                 if k == 1:
-                    totals, _completed = scheduler.serve_single(now, end, dt)
-                    if totals:
-                        for gateway_id, bits in totals.items():
-                            if bits > 0:
-                                bits_served[gateway_id] += bits
-                                last_traffic[gateway_id] = end
-                                if track_load:
-                                    sample_times[gateway_id].append(end)
-                                    sample_bits[gateway_id].append(bits)
+                    served_steps = (scheduler.serve_single(now, end, dt)[0],)
                 else:
-                    served_steps, _completed = scheduler.serve(now, step_s, grid)
-                    gateway_array.record_step_totals(grid, served_steps)
+                    served_steps = scheduler.serve(now, step_s, grid)[0]
+                gateway_array.record_step_totals(grid, served_steps)
 
             # ---- advance gateway state machines, rewire, charge energy
             gateway_array.step_to(
@@ -630,20 +569,7 @@ class AccessNetworkSimulator:
                 and post_waking == pre_waking
                 and self._cards_on == pre_cards
             ):
-                # Inlined copy of _accumulate_energy's segment-extend check
-                # (hot path: most steps just extend the open segment); keep
-                # the two in sync if the segment fields ever change.
-                run_segment = self._energy_run
-                if (
-                    run_segment is not None
-                    and run_segment[1] == now
-                    and run_segment[2] == post_active
-                    and run_segment[3] == post_waking
-                    and run_segment[4] == self._cards_on
-                ):
-                    run_segment[1] = end
-                else:
-                    self._accumulate_energy(now, end, post_active, post_waking, self._cards_on)
+                self._accumulate_energy(now, end, post_active, post_waking, self._cards_on)
             else:
                 # Transitions happen only at the end of the final grid step,
                 # so the earlier steps are charged with the pre-transition
@@ -1023,35 +949,14 @@ class AccessNetworkSimulator:
         online_flags = view.online
         loads = view.load
         gateway_array = self.gateway_array
-        if self._obs_flags_version != gateway_array.version:
-            state = gateway_array.state
-            for gateway_id in range(self.scenario.num_gateways):
-                online_flags[gateway_id] = state[gateway_id] == STATE_ACTIVE
-            self._obs_flags_version = gateway_array.version
+        state = gateway_array.state
+        for gateway_id in range(self.scenario.num_gateways):
+            online_flags[gateway_id] = state[gateway_id] == STATE_ACTIVE
         # Offline gateways keep stale load entries: every consumer gates the
         # read behind the online flag, so only online loads need refreshing.
-        # Inlined utilisation fast path: reuse each gateway's cached window
-        # sum while its live sample slice is unchanged.
-        window = gateway_array.load_window_s
-        denom = gateway_array.backhaul_bps * window
-        sample_times = gateway_array._sample_times
-        util_cache = gateway_array._util_cache
         utilization = gateway_array.utilization
-        horizon = now - window
-        windowed = now >= window
         for gateway_id in self._current_online_set():
-            times = sample_times[gateway_id]
-            length = len(times)
-            cached = util_cache[gateway_id]
-            if (
-                windowed
-                and cached[1] == length
-                and (cached[0] == length or times[cached[0]] >= horizon)
-            ):
-                load = cached[2] / denom
-                loads[gateway_id] = load if load < 1.0 else 1.0
-            else:
-                loads[gateway_id] = utilization(gateway_id, now)
+            loads[gateway_id] = utilization(gateway_id, now)
         return view
 
     def _optimal_wireless(self) -> Dict[Tuple[int, int], float]:
@@ -1334,12 +1239,10 @@ class AccessNetworkSimulator:
         self._samples.append((now, powered, waking, powered, self._cards_on))
 
     # ------------------------------------------------------------------
-    def _next_dt(self, now: float, next_sample: float, horizon: float) -> float:
-        self._now_hint = now
+    def _idle_dt(self, now: float, next_sample: float, horizon: float) -> float:
+        """Step length while no flow is in flight: skip ahead to the next
+        interesting instant (the seed kernel's idle rule)."""
         dt = self.step_s
-        if self.scheduler.has_active:
-            return min(dt, horizon - now)
-        # Network idle: skip ahead to the next interesting instant.
         candidates = [now + self.MAX_IDLE_SKIP_S, next_sample if next_sample > now else now + dt, horizon]
         if self._arrival_index < len(self._arrivals):
             candidates.append(self._arrival_times[self._arrival_index])
@@ -1477,13 +1380,7 @@ class AccessNetworkSimulator:
             energy_series_times=np.array(energy_times, dtype=float),
             energy_series_total_j=np.array(energy_total, dtype=float),
             energy_series_isp_j=np.array(energy_isp, dtype=float),
-            # Bind only what records() needs — closing over `self` would pin
-            # the whole simulator in memory for every unmaterialised run.
-            flow_records=LazyFlowRecords(
-                lambda scheduler=self.scheduler, baselines=self.baseline_durations: (
-                    scheduler.records(baselines=baselines)
-                )
-            ),
+            flow_records=self.scheduler.records(baselines=self.baseline_durations),
             gateway_online_seconds={
                 g: gateway_array.online_seconds[g] + gateway_array.waking_seconds[g]
                 for g in range(self.scenario.num_gateways)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.flows.flow import ActiveFlow
-from repro.flows.scheduler import FlowScheduler, _max_min_allocation_reference
+from repro.flows.scheduler import FlowScheduler
+from repro.simulation.reference_kernel import reference_max_min_allocation
 from repro.traces.models import Flow
 
 
@@ -17,23 +18,23 @@ def make_active(flow_id=0, client=0, gateway=0, size=750_000, start=0.0, wireles
 
 
 def test_max_min_equal_split():
-    allocation = _max_min_allocation_reference(6e6, [10e6, 10e6])
+    allocation = reference_max_min_allocation(6e6, [10e6, 10e6])
     assert allocation == [pytest.approx(3e6), pytest.approx(3e6)]
 
 
 def test_max_min_respects_caps():
-    allocation = _max_min_allocation_reference(6e6, [1e6, 10e6])
+    allocation = reference_max_min_allocation(6e6, [1e6, 10e6])
     assert allocation[0] == pytest.approx(1e6)
     assert allocation[1] == pytest.approx(5e6)
 
 
 def test_max_min_empty_and_zero_cases():
-    assert _max_min_allocation_reference(6e6, []) == []
-    assert _max_min_allocation_reference(0.0, [1e6]) == [0.0]
+    assert reference_max_min_allocation(6e6, []) == []
+    assert reference_max_min_allocation(0.0, [1e6]) == [0.0]
     with pytest.raises(ValueError):
-        _max_min_allocation_reference(-1.0, [1.0])
+        reference_max_min_allocation(-1.0, [1.0])
     with pytest.raises(ValueError):
-        _max_min_allocation_reference(1.0, [-1.0])
+        reference_max_min_allocation(1.0, [-1.0])
 
 
 @given(
@@ -42,7 +43,7 @@ def test_max_min_empty_and_zero_cases():
 )
 @settings(max_examples=80, deadline=None)
 def test_max_min_allocation_invariants(capacity, caps):
-    allocation = _max_min_allocation_reference(capacity, caps)
+    allocation = reference_max_min_allocation(capacity, caps)
     assert len(allocation) == len(caps)
     assert all(a >= -1e-9 for a in allocation)
     assert all(a <= c + 1e-6 for a, c in zip(allocation, caps))
@@ -75,9 +76,11 @@ def test_scheduler_serves_only_online_gateways():
     scheduler = FlowScheduler(backhaul_bps=6e6)
     flow = make_active(gateway=3)
     scheduler.admit(flow)
-    scheduler.step(now=0.0, dt=1.0, online_gateways=set())
+    scheduler.ensure_rates(0.0, set())
+    scheduler.serve_single(0.0, 1.0, 1.0)
     assert not flow.done
-    served, completed = scheduler.step(now=1.0, dt=1.0, online_gateways={3})
+    scheduler.ensure_rates(1.0, {3})
+    served, completed = scheduler.serve_single(1.0, 2.0, 1.0)
     assert completed == [flow]
     assert served[3] == pytest.approx(750_000 * 8)
     # Waiting for the gateway delayed completion past the ideal 1 s.
@@ -90,7 +93,8 @@ def test_scheduler_shares_backhaul_between_flows():
     second = make_active(flow_id=1, size=750_000)
     scheduler.admit(first)
     scheduler.admit(second)
-    scheduler.step(now=0.0, dt=1.0, online_gateways={0})
+    scheduler.ensure_rates(0.0, {0})
+    scheduler.serve_single(0.0, 1.0, 1.0)
     assert first.remaining_bytes == pytest.approx(375_000)
     assert second.remaining_bytes == pytest.approx(375_000)
 
@@ -101,17 +105,10 @@ def test_scheduler_wireless_cap_limits_flow():
     fast = make_active(flow_id=1, wireless=12e6)
     scheduler.admit(slow)
     scheduler.admit(fast)
-    scheduler.step(now=0.0, dt=1.0, online_gateways={0})
+    scheduler.ensure_rates(0.0, {0})
+    scheduler.serve_single(0.0, 1.0, 1.0)
     assert slow.remaining_bytes == pytest.approx(750_000 - 1e6 / 8)
     assert fast.remaining_bytes == pytest.approx(750_000 - 5e6 / 8)
-
-
-def test_scheduler_per_gateway_capacity_override():
-    scheduler = FlowScheduler(backhaul_bps=6e6)
-    flow = make_active(gateway=2, size=750_000)
-    scheduler.admit(flow)
-    scheduler.step(now=0.0, dt=1.0, online_gateways={2}, backhaul_bps={2: 3e6})
-    assert flow.remaining_bytes == pytest.approx(375_000)
 
 
 def test_scheduler_demand_estimates():
@@ -119,15 +116,14 @@ def test_scheduler_demand_estimates():
     scheduler.admit(make_active(flow_id=0, client=7, gateway=1, size=6_000_000))
     demand = scheduler.client_demand_bps(horizon_s=60.0)
     assert demand[7] == pytest.approx(6_000_000 * 8 / 60.0)
-    assert scheduler.demand_bps(1, horizon_s=60.0) == pytest.approx(demand[7])
-    assert scheduler.gateways_with_traffic() == {1}
 
 
 def test_scheduler_records_with_baselines():
     scheduler = FlowScheduler(backhaul_bps=6e6)
     flow = make_active(flow_id=5)
     scheduler.admit(flow)
-    scheduler.step(now=0.0, dt=2.0, online_gateways={0})
+    scheduler.ensure_rates(0.0, {0})
+    scheduler.serve_single(0.0, 2.0, 2.0)
     records = scheduler.records(baselines={5: 0.5})
     assert len(records) == 1
     assert records[0].variation_vs_baseline_percent() == pytest.approx(100.0)
@@ -139,12 +135,3 @@ def test_admitting_completed_flow_rejected():
     flow.serve(6e6, dt=10.0, now=0.0)
     with pytest.raises(ValueError):
         scheduler.admit(flow)
-
-
-def test_zero_dt_step_is_a_noop():
-    scheduler = FlowScheduler(backhaul_bps=6e6)
-    flow = make_active()
-    scheduler.admit(flow)
-    served, completed = scheduler.step(now=0.0, dt=0.0, online_gateways={0})
-    assert served == {}
-    assert completed == []

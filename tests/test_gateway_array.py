@@ -91,7 +91,7 @@ def test_utilization_cache_consistent_after_expiry():
     _, array = make_pair(initially_sleeping=False, sleep_enabled=False)
     array.record_step_totals([10.0], [{0: 3e6}])
     first = array.utilization(0, 60.0)
-    again = array.utilization(0, 60.0)  # cache hit path
+    again = array.utilization(0, 60.0)  # nothing appended or expired
     assert again == first
     late = array.utilization(0, 71.0)  # the 10 s sample expired
     assert late == 0.0

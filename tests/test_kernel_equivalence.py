@@ -1,4 +1,4 @@
-"""Equivalence of the vectorized kernel against the preserved seed kernel.
+"""Equivalence of the production kernel against the preserved seed kernel.
 
 The event-aware kernel in :mod:`repro.simulation.simulator` is designed to
 reproduce the seed per-step trajectory exactly — same transitions at the

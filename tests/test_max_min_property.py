@@ -1,7 +1,7 @@
 """Property tests: the scheduler's max-min allocator matches the reference.
 
-The seed's O(n²) iterative water-filling is kept as
-:func:`_max_min_allocation_reference` and used as the oracle on randomized
+The seed's O(n²) iterative water-filling is kept in the seed kernel as
+:func:`reference_max_min_allocation` and used as the oracle on randomized
 capacity/cap sets, including adversarial shapes (duplicates, zeros, huge
 spreads).  The in-simulator shortcut paths of the scheduler must agree with
 the reference bit for bit, because flow service derives from them.
@@ -10,11 +10,8 @@ the reference bit for bit, because flow service derives from them.
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.flows.scheduler import (
-    FlowScheduler,
-    _max_min_allocation_reference,
-    _water_fill,
-)
+from repro.flows.scheduler import FlowScheduler, _water_fill
+from repro.simulation.reference_kernel import reference_max_min_allocation
 
 
 @given(
@@ -24,7 +21,7 @@ from repro.flows.scheduler import (
 @settings(max_examples=300, deadline=None)
 def test_water_fill_bit_identical_to_reference(capacity, caps):
     """The scheduler's validation-free loop replays the reference exactly."""
-    assert _water_fill(capacity, caps) == _max_min_allocation_reference(capacity, caps)
+    assert _water_fill(capacity, caps) == reference_max_min_allocation(capacity, caps)
 
 
 @given(
@@ -35,22 +32,22 @@ def test_water_fill_bit_identical_to_reference(capacity, caps):
 @settings(max_examples=200, deadline=None)
 def test_equal_caps_match_reference_exactly(capacity, cap_value, n):
     caps = [cap_value] * n
-    assert _water_fill(capacity, caps) == _max_min_allocation_reference(capacity, caps)
+    assert _water_fill(capacity, caps) == reference_max_min_allocation(capacity, caps)
 
 
 def test_duplicate_caps_and_ties():
     caps = [2e6, 2e6, 2e6, 8e6, 8e6]
     allocation = _water_fill(6e6, caps)
-    assert allocation == _max_min_allocation_reference(6e6, caps)
+    assert allocation == reference_max_min_allocation(6e6, caps)
     assert sum(allocation) == pytest.approx(6e6, rel=1e-9)
 
 
 def test_validation_preserved():
     with pytest.raises(ValueError):
-        _max_min_allocation_reference(-1.0, [1.0])
+        reference_max_min_allocation(-1.0, [1.0])
     with pytest.raises(ValueError):
-        _max_min_allocation_reference(1.0, [-1.0])
-    assert _max_min_allocation_reference(5.0, []) == []
+        reference_max_min_allocation(1.0, [-1.0])
+    assert reference_max_min_allocation(5.0, []) == []
 
 
 def test_scheduler_rates_match_reference_water_filling():
@@ -70,5 +67,5 @@ def test_scheduler_rates_match_reference_water_filling():
         flows.append(flow)
         scheduler.admit(flow)
     scheduler.ensure_rates(0.0, {4})
-    expected = _max_min_allocation_reference(6e6, caps)
+    expected = reference_max_min_allocation(6e6, caps)
     assert [f.rate_bps for f in flows] == expected

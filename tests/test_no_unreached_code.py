@@ -16,7 +16,6 @@ ROOT = Path(__file__).resolve().parents[1]
 #: Test oracles: reference implementations that only the tests call.
 ORACLES = {
     "ExactWattAggregationSolver",  # exact watt optimum the greedy is held to
-    "_max_min_allocation_reference",  # the seed's allocator, for _water_fill
     "run_digest",  # the slow digest the precomputed digest series must match
     "run_scheme_reference",  # the seed kernel
     "verify_solution",  # feasibility check of aggregation solutions
